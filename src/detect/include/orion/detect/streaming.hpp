@@ -11,7 +11,9 @@
 // reservoirs: a bottom-k sample is a pure function of the events seen, so
 // the sharded ParallelPipeline can keep one sampler per shard and merge
 // them into the exact sample this serial detector holds — the root of the
-// pipeline's byte-identical-results guarantee (DESIGN.md §9).
+// pipeline's byte-identical-results guarantee (DESIGN.md §9). This serial
+// detector is kept as the independent reference that the sharded merge is
+// tested against; live deployments run ParallelPipeline.
 #pragma once
 
 #include <cstdint>
@@ -25,11 +27,6 @@
 #include "orion/stats/bottomk.hpp"
 #include "orion/telescope/event.hpp"
 
-namespace orion::telescope {
-class CheckpointReader;
-class CheckpointWriter;
-}  // namespace orion::telescope
-
 namespace orion::detect {
 
 struct StreamingConfig {
@@ -40,11 +37,6 @@ struct StreamingConfig {
   /// (threshold estimates are garbage on a cold start).
   std::uint64_t warmup_samples = 5000;
   std::uint64_t seed = 71;
-  /// Live-deployment hardening: an event whose start day precedes the
-  /// open day is folded into the open day (and counted in
-  /// late_events_folded()) instead of throwing. Off by default — batch
-  /// replays of sorted datasets should still fail loudly on disorder.
-  bool tolerate_late_events = false;
 
   friend constexpr bool operator==(const StreamingConfig&,
                                    const StreamingConfig&) = default;
@@ -95,22 +87,8 @@ class StreamingDetector {
   const IpSet& ips(Definition d) const {
     return ips_[static_cast<std::size_t>(d)];
   }
-  std::uint64_t events_seen() const { return events_seen_; }
-  /// Late events folded into the open day (tolerate_late_events mode).
-  std::uint64_t late_events_folded() const { return late_events_folded_; }
-
-  /// Snapshots the full detector state — bottom-k ECDF samples, the open
-  /// day's working sets, cumulative AH sets — so a killed deployment
-  /// resumes and publishes daily lists identical to an uninterrupted
-  /// run. Restore verifies the snapshot was taken under the same
-  /// configuration and darknet size (std::runtime_error otherwise).
-  /// Snapshots are byte-deterministic: all tables serialize in sorted
-  /// key order.
-  void checkpoint(telescope::CheckpointWriter& writer) const;
-  void restore(telescope::CheckpointReader& reader);
 
  private:
-  void ingest_into_day(const telescope::DarknetEvent& event);
   StreamingDayResult close_day();
 
   StreamingConfig config_;
@@ -126,16 +104,6 @@ class StreamingDetector {
   std::unordered_map<net::Ipv4Address, std::uint64_t> day_best_packets_;
 
   std::array<IpSet, 3> ips_;
-  std::uint64_t events_seen_ = 0;
-  std::uint64_t late_events_folded_ = 0;
 };
-
-/// Shared checkpoint plumbing (also used by the shard slices).
-void put_sampler(telescope::CheckpointWriter& writer,
-                 const stats::BottomKSampler& sampler);
-void get_sampler(telescope::CheckpointReader& reader,
-                 stats::BottomKSampler& sampler);
-void put_ip_set(telescope::CheckpointWriter& writer, const IpSet& ips);
-IpSet get_ip_set(telescope::CheckpointReader& reader);
 
 }  // namespace orion::detect

@@ -13,6 +13,8 @@ namespace {
 
 constexpr std::uint64_t kSliceTag = telescope::checkpoint_tag('S', 'D', 'S', '1');
 
+/// Sorted copies of the per-day tables, so checkpoints are
+/// byte-deterministic regardless of hash-table order.
 template <typename Map>
 std::vector<typename Map::key_type> sorted_keys(const Map& map) {
   std::vector<typename Map::key_type> keys;
@@ -20,6 +22,50 @@ std::vector<typename Map::key_type> sorted_keys(const Map& map) {
   for (const auto& [key, value] : map) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
   return keys;
+}
+
+void put_sampler(telescope::CheckpointWriter& w,
+                 const stats::BottomKSampler& sampler) {
+  w.u64(sampler.seen());
+  const auto entries = sampler.sorted_entries();
+  w.u64(entries.size());
+  for (const auto& e : entries) {
+    w.u64(e.rank);
+    w.u64(e.value);
+  }
+}
+
+void get_sampler(telescope::CheckpointReader& r,
+                 stats::BottomKSampler& sampler) {
+  const std::uint64_t seen = r.u64("sampler seen");
+  const std::uint64_t size = r.u64("sampler size");
+  if (size > sampler.capacity()) {
+    throw std::runtime_error("checkpoint: bottom-k sample over capacity");
+  }
+  std::vector<stats::BottomKSampler::Entry> entries;
+  entries.reserve(static_cast<std::size_t>(size));
+  for (std::uint64_t i = 0; i < size; ++i) {
+    const std::uint64_t rank = r.u64("sampler rank");
+    entries.push_back({rank, r.u64("sampler value")});
+  }
+  sampler.restore(seen, std::move(entries));
+}
+
+void put_ip_set(telescope::CheckpointWriter& w, const IpSet& ips) {
+  std::vector<net::Ipv4Address> sorted(ips.begin(), ips.end());
+  std::sort(sorted.begin(), sorted.end());
+  w.u64(sorted.size());
+  for (const net::Ipv4Address ip : sorted) w.u64(ip.value());
+}
+
+IpSet get_ip_set(telescope::CheckpointReader& r) {
+  const std::uint64_t count = r.u64("ip set size");
+  IpSet ips;
+  ips.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    ips.insert(net::Ipv4Address(static_cast<std::uint32_t>(r.u64("ip"))));
+  }
+  return ips;
 }
 
 }  // namespace
@@ -43,7 +89,7 @@ void ShardDetectorSlice::observe(const telescope::DarknetEvent& event) {
   }
   DayPartial& day = it->second;
 
-  // Mirrors StreamingDetector::ingest_into_day exactly, with identical
+  // Mirrors StreamingDetector::observe exactly, with identical
   // sample identities, so the merged bottom-k equals the serial one.
   day.packet_samples.add(packet_sample_id(event.key),
                          static_cast<std::uint64_t>(

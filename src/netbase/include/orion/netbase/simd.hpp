@@ -1,10 +1,10 @@
-// Runtime-dispatched SIMD tier selection and the word-level bit kernels
+// Runtime-dispatched SIMD tier selection and the prefix-membership kernel
 // (DESIGN.md §14).
 //
 // Every hot-loop kernel in the tree (classification, CRC folding, RFC 1071
-// checksum, FlatMap tag probing, prefix membership, bitmap popcounts) keeps
-// its scalar form as the pinned equivalence reference and consults one
-// process-global dispatch tier chosen here:
+// checksum, FlatMap tag probing, prefix membership) keeps its scalar form
+// as the pinned equivalence reference and consults one process-global
+// dispatch tier chosen here:
 //
 //   * detected_level() probes the hardware once — CPUID on x86-64
 //     (AVX2 / SSE4.2+PCLMUL), HWCAP on aarch64 (NEON is baseline, the CRC
@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -65,21 +64,8 @@ std::string feature_string();
 /// True when the build compiled the vector kernels in at all.
 constexpr bool compiled_in() { return ORION_SIMD_ENABLED != 0; }
 
-// --- word kernels -----------------------------------------------------------
-// Bit-population counts over 64-bit word arrays (the D1 dispersion /
-// coverage bitmaps and the PortSet bitmap are stored as u64 words). The
-// *_scalar forms are the pinned references.
-
-/// Sum of std::popcount over the words.
-std::uint64_t popcount_words(std::span<const std::uint64_t> words);
-std::uint64_t popcount_words_scalar(std::span<const std::uint64_t> words);
-
-/// Sum of std::popcount(a[i] & b[i]) — the vpand+popcnt overlap kernel.
-/// Both spans must have the same length.
-std::uint64_t and_popcount_words(std::span<const std::uint64_t> a,
-                                 std::span<const std::uint64_t> b);
-std::uint64_t and_popcount_words_scalar(std::span<const std::uint64_t> a,
-                                        std::span<const std::uint64_t> b);
+// --- prefix-membership kernel -----------------------------------------------
+// The *_scalar form is the pinned reference.
 
 /// Prefix-membership accumulator: out[i] |= ((v[i] & mask) == expect) for
 /// every lane. PrefixSet::contains_batch calls this once per member prefix

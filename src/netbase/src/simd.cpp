@@ -1,7 +1,6 @@
 #include "orion/netbase/simd.hpp"
 
 #include <atomic>
-#include <bit>
 #include <cstdlib>
 
 #if ORION_SIMD_ENABLED && defined(__x86_64__)
@@ -140,24 +139,7 @@ std::string feature_string() {
   return features;
 }
 
-// --- word kernels -----------------------------------------------------------
-
-std::uint64_t popcount_words_scalar(std::span<const std::uint64_t> words) {
-  std::uint64_t total = 0;
-  for (const std::uint64_t w : words) {
-    total += static_cast<std::uint64_t>(std::popcount(w));
-  }
-  return total;
-}
-
-std::uint64_t and_popcount_words_scalar(std::span<const std::uint64_t> a,
-                                        std::span<const std::uint64_t> b) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    total += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
-}
+// --- prefix-membership kernel -----------------------------------------------
 
 void accumulate_masked_eq_u32_scalar(const std::uint32_t* v, std::size_t n,
                                      std::uint32_t mask, std::uint32_t expect,
@@ -170,58 +152,6 @@ void accumulate_masked_eq_u32_scalar(const std::uint32_t* v, std::size_t n,
 #if ORION_SIMD_ENABLED && defined(__x86_64__)
 
 namespace {
-
-/// vpand + popcnt over 64-bit words, four per 256-bit load. AVX2 has no
-/// vector popcount, so the AND happens in vector registers and the counts
-/// on the (1/cycle) scalar popcnt port — still ~2x the pure scalar loop
-/// because the loads, ANDs and loop control are all amortized 4-wide.
-__attribute__((target("avx2,popcnt"))) std::uint64_t and_popcount_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i x = _mm256_and_si256(va, vb);
-    total += static_cast<std::uint64_t>(
-        _mm_popcnt_u64(static_cast<std::uint64_t>(_mm256_extract_epi64(x, 0))));
-    total += static_cast<std::uint64_t>(
-        _mm_popcnt_u64(static_cast<std::uint64_t>(_mm256_extract_epi64(x, 1))));
-    total += static_cast<std::uint64_t>(
-        _mm_popcnt_u64(static_cast<std::uint64_t>(_mm256_extract_epi64(x, 2))));
-    total += static_cast<std::uint64_t>(
-        _mm_popcnt_u64(static_cast<std::uint64_t>(_mm256_extract_epi64(x, 3))));
-  }
-  for (; i < n; ++i) {
-    total += static_cast<std::uint64_t>(_mm_popcnt_u64(a[i] & b[i]));
-  }
-  return total;
-}
-
-__attribute__((target("popcnt"))) std::uint64_t popcount_hw(
-    const std::uint64_t* w, std::size_t n) {
-  std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    t0 += static_cast<std::uint64_t>(_mm_popcnt_u64(w[i]));
-    t1 += static_cast<std::uint64_t>(_mm_popcnt_u64(w[i + 1]));
-    t2 += static_cast<std::uint64_t>(_mm_popcnt_u64(w[i + 2]));
-    t3 += static_cast<std::uint64_t>(_mm_popcnt_u64(w[i + 3]));
-  }
-  for (; i < n; ++i) t0 += static_cast<std::uint64_t>(_mm_popcnt_u64(w[i]));
-  return t0 + t1 + t2 + t3;
-}
-
-__attribute__((target("popcnt"))) std::uint64_t and_popcount_hw(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<std::uint64_t>(_mm_popcnt_u64(a[i] & b[i]));
-  }
-  return total;
-}
 
 /// 32 lanes of (v & mask) == expect per iteration: four 8-lane compares
 /// packed down to one byte vector (packs interleave 128-bit lanes, the
@@ -292,34 +222,6 @@ void masked_eq_sse(const std::uint32_t* v, std::size_t n, std::uint32_t mask,
 
 namespace {
 
-std::uint64_t popcount_neon(const std::uint64_t* w, std::size_t n) {
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint8x16_t x =
-        vld1q_u8(reinterpret_cast<const std::uint8_t*>(w + i));
-    total += vaddvq_u8(vcntq_u8(x));
-  }
-  for (; i < n; ++i) total += static_cast<std::uint64_t>(std::popcount(w[i]));
-  return total;
-}
-
-std::uint64_t and_popcount_neon(const std::uint64_t* a, const std::uint64_t* b,
-                                std::size_t n) {
-  std::uint64_t total = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint8x16_t x = vandq_u8(
-        vld1q_u8(reinterpret_cast<const std::uint8_t*>(a + i)),
-        vld1q_u8(reinterpret_cast<const std::uint8_t*>(b + i)));
-    total += vaddvq_u8(vcntq_u8(x));
-  }
-  for (; i < n; ++i) {
-    total += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
-}
-
 void masked_eq_neon(const std::uint32_t* v, std::size_t n, std::uint32_t mask,
                     std::uint32_t expect, std::uint8_t* out) {
   const uint32x4_t vmask = vdupq_n_u32(mask);
@@ -341,33 +243,6 @@ void masked_eq_neon(const std::uint32_t* v, std::size_t n, std::uint32_t mask,
 }  // namespace
 
 #endif  // aarch64
-
-std::uint64_t popcount_words(std::span<const std::uint64_t> words) {
-#if ORION_SIMD_ENABLED && defined(__x86_64__)
-  if (active_level() >= Level::Sse42 && active_level() != Level::Neon) {
-    return popcount_hw(words.data(), words.size());
-  }
-#elif ORION_SIMD_ENABLED && defined(__aarch64__)
-  if (active_level() == Level::Neon) {
-    return popcount_neon(words.data(), words.size());
-  }
-#endif
-  return popcount_words_scalar(words);
-}
-
-std::uint64_t and_popcount_words(std::span<const std::uint64_t> a,
-                                 std::span<const std::uint64_t> b) {
-#if ORION_SIMD_ENABLED && defined(__x86_64__)
-  const Level level = active_level();
-  if (level == Level::Avx2) return and_popcount_avx2(a.data(), b.data(), a.size());
-  if (level == Level::Sse42) return and_popcount_hw(a.data(), b.data(), a.size());
-#elif ORION_SIMD_ENABLED && defined(__aarch64__)
-  if (active_level() == Level::Neon) {
-    return and_popcount_neon(a.data(), b.data(), a.size());
-  }
-#endif
-  return and_popcount_words_scalar(a, b);
-}
 
 void accumulate_masked_eq_u32(const std::uint32_t* v, std::size_t n,
                               std::uint32_t mask, std::uint32_t expect,

@@ -14,7 +14,7 @@
 // Components write a 4-char section tag (as a u64) followed by their own
 // fields, so a reader immediately detects a snapshot being restored into
 // the wrong component. Static configuration (timeouts, thresholds,
-// reservoir capacities) is echoed into the payload and verified against
+// sampler capacities) is echoed into the payload and verified against
 // the restoring object's configuration: resuming under a different
 // configuration would silently change results, so it is an error.
 #pragma once
@@ -33,7 +33,7 @@ namespace orion::telescope {
 /// Thrown when a snapshot's configuration echo (timeouts, thresholds,
 /// shard counts, seeds...) does not match the restoring component's
 /// configuration. Distinct from generic corruption so callers (e.g.
-/// live_monitor --resume) can tell the operator "your flags changed"
+/// live_monitor --archive) can tell the operator "your flags changed"
 /// instead of "checkpoint corrupt" — resuming under a different
 /// configuration would silently change results, so it is refused.
 class ConfigMismatchError : public std::runtime_error {

@@ -10,7 +10,6 @@
 #include <tuple>
 #include <vector>
 
-#include "orion/detect/streaming.hpp"
 #include "orion/netbase/crc32.hpp"
 #include "orion/packet/builder.hpp"
 #include "orion/scangen/fault.hpp"
@@ -564,126 +563,6 @@ TEST(CrashResume, CaptureRejectsDarkSpaceMismatch) {
       net::PrefixSet({*net::Prefix::parse("198.18.0.0/23")}), fast_config());
   CheckpointReader reader(snapshot);
   EXPECT_THROW(capture.restore(reader), std::runtime_error);
-}
-
-// Streaming-detector workload: multi-day background + aggressive sources,
-// sorted by start time (as the capture layer guarantees).
-std::vector<telescope::DarknetEvent> streaming_events() {
-  std::vector<telescope::DarknetEvent> events;
-  for (int s = 0; s < 150; ++s) {
-    for (int day = 0; day < 6; ++day) {
-      telescope::DarknetEvent e;
-      e.key.src = net::Ipv4Address(0x0A000000u + static_cast<std::uint32_t>(s));
-      e.key.dst_port = static_cast<std::uint16_t>(80 + s % 5);
-      e.key.type = pkt::TrafficType::TcpSyn;
-      e.start = net::SimTime::at(net::Duration::days(day) +
-                                 net::Duration::minutes(3 * s));
-      e.end = e.start + net::Duration::hours(1);
-      e.packets = 5 + static_cast<std::uint64_t>((s * 13 + day * 7) % 400);
-      e.unique_dests = 1 + static_cast<std::uint64_t>((s * 11 + day) % 300);
-      e.packets_by_tool[telescope::tool_index(pkt::ScanTool::Other)] = e.packets;
-      events.push_back(e);
-    }
-  }
-  std::sort(events.begin(), events.end(),
-            [](const auto& a, const auto& b) { return a.start < b.start; });
-  return events;
-}
-
-detect::StreamingConfig streaming_config() {
-  detect::StreamingConfig config;
-  config.base.packet_volume_alpha = 0.01;
-  config.base.port_count_alpha = 0.01;
-  config.warmup_samples = 100;
-  config.ecdf_reservoir = 512;  // small: forces reservoir eviction + RNG use
-  return config;
-}
-
-std::string render_day(const detect::StreamingDayResult& day) {
-  std::ostringstream out;
-  out << day.day << '|' << day.calibrated << '|' << day.packet_threshold << '|'
-      << day.port_threshold;
-  for (const auto& list : day.daily) {
-    out << '[';
-    for (const net::Ipv4Address ip : list) out << ip.to_string() << ',';
-    out << ']';
-  }
-  out << '\n';
-  return out.str();
-}
-
-constexpr std::uint64_t kStreamingDarknet = 1000;
-
-TEST(CrashResume, StreamingDetectorEmitsByteIdenticalDailyLists) {
-  const auto events = streaming_events();
-
-  detect::StreamingDetector uninterrupted(streaming_config(), kStreamingDarknet);
-  std::string want;
-  for (const auto& e : events) {
-    for (const auto& day : uninterrupted.observe(e)) want += render_day(day);
-  }
-  if (const auto last = uninterrupted.finish()) want += render_day(*last);
-
-  // Checkpoint mid-day (not at a boundary): open-day working sets, both
-  // reservoirs and their RNG positions all have to survive.
-  const std::size_t half = events.size() / 2;
-  std::string got;
-  std::stringstream snapshot;
-  {
-    detect::StreamingDetector first(streaming_config(), kStreamingDarknet);
-    for (std::size_t i = 0; i < half; ++i) {
-      for (const auto& day : first.observe(events[i])) got += render_day(day);
-    }
-    CheckpointWriter writer;
-    first.checkpoint(writer);
-    writer.finish(snapshot);
-  }
-  detect::StreamingDetector resumed(streaming_config(), kStreamingDarknet);
-  CheckpointReader reader(snapshot);
-  resumed.restore(reader);
-  EXPECT_TRUE(reader.done());
-  EXPECT_EQ(resumed.events_seen(), half);
-  for (std::size_t i = half; i < events.size(); ++i) {
-    for (const auto& day : resumed.observe(events[i])) got += render_day(day);
-  }
-  if (const auto last = resumed.finish()) got += render_day(*last);
-
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(resumed.events_seen(), events.size());
-  for (const auto d :
-       {detect::Definition::AddressDispersion, detect::Definition::PacketVolume,
-        detect::Definition::DistinctPorts}) {
-    EXPECT_EQ(resumed.ips(d), uninterrupted.ips(d));
-  }
-}
-
-TEST(CrashResume, StreamingDetectorRejectsConfigMismatch) {
-  std::stringstream snapshot;
-  {
-    detect::StreamingDetector detector(streaming_config(), kStreamingDarknet);
-    detector.observe(streaming_events().front());
-    CheckpointWriter writer;
-    detector.checkpoint(writer);
-    writer.finish(snapshot);
-  }
-  detect::StreamingConfig other = streaming_config();
-  other.warmup_samples = 999;
-  detect::StreamingDetector detector(other, kStreamingDarknet);
-  CheckpointReader reader(snapshot);
-  EXPECT_THROW(detector.restore(reader), std::runtime_error);
-}
-
-TEST(CrashResume, StreamingDetectorRejectsDarknetMismatch) {
-  std::stringstream snapshot;
-  {
-    detect::StreamingDetector detector(streaming_config(), kStreamingDarknet);
-    CheckpointWriter writer;
-    detector.checkpoint(writer);
-    writer.finish(snapshot);
-  }
-  detect::StreamingDetector detector(streaming_config(), kStreamingDarknet * 2);
-  CheckpointReader reader(snapshot);
-  EXPECT_THROW(detector.restore(reader), std::runtime_error);
 }
 
 TEST(CrashResume, IngestResumesWithNonEmptyBuffer) {

@@ -4,8 +4,8 @@
 // under/over the vector width, ragged multiples, large buffers). The
 // suite force-sets each available tier and fuzzes each kernel against
 // the scalar form, then checks the composite consumers (PrefixSet batch
-// membership, CoverageBitset popcounts, the tag-probed FlatMap, and a
-// miniature aggregator capture) stay invariant under tier switching.
+// membership, the tag-probed FlatMap, and a miniature aggregator capture)
+// stay invariant under tier switching.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,7 +24,6 @@
 #include "orion/packet/batch.hpp"
 #include "orion/packet/builder.hpp"
 #include "orion/packet/classify.hpp"
-#include "orion/stats/coverage.hpp"
 #include "orion/telescope/aggregator.hpp"
 #include "orion/telescope/checkpoint.hpp"
 
@@ -209,26 +208,6 @@ TEST(SimdClassify, ToolMatchesScalarAtEveryTier) {
   }
 }
 
-TEST(SimdWords, PopcountMatchesScalarAtEveryTier) {
-  TierGuard guard;
-  for (const simd::Level tier : simd::available_levels()) {
-    simd::set_level(tier);
-    for (const std::size_t n : {0, 1, 2, 3, 4, 5, 7, 8, 9, 100, 1000}) {
-      net::Rng rng(31 * n + 7);
-      std::vector<std::uint64_t> a(n), b(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        a[i] = rng.next();
-        b[i] = rng.next();
-      }
-      EXPECT_EQ(simd::popcount_words(a), simd::popcount_words_scalar(a))
-          << "tier=" << simd::to_string(tier) << " n=" << n;
-      EXPECT_EQ(simd::and_popcount_words(a, b),
-                simd::and_popcount_words_scalar(a, b))
-          << "tier=" << simd::to_string(tier) << " n=" << n;
-    }
-  }
-}
-
 TEST(SimdWords, MaskedEqAccumulatesIdenticallyAtEveryTier) {
   TierGuard guard;
   for (const simd::Level tier : simd::available_levels()) {
@@ -285,33 +264,6 @@ TEST(SimdPrefix, ContainsBatchMatchesScalarAtEveryTier) {
           ASSERT_EQ(got[i] != 0, set->contains(net::Ipv4Address(addrs[i])));
         }
       }
-    }
-  }
-}
-
-TEST(SimdCoverage, CountAndOverlapMatchNaive) {
-  TierGuard guard;
-  for (const simd::Level tier : simd::available_levels()) {
-    simd::set_level(tier);
-    for (const std::uint64_t universe : {1u, 63u, 64u, 65u, 1000u, 100003u}) {
-      stats::CoverageBitset a(universe), b(universe);
-      net::Rng rng(61 + universe);
-      std::uint64_t naive_a = 0, naive_overlap = 0;
-      std::vector<bool> in_a(universe, false), in_b(universe, false);
-      for (std::uint64_t i = 0; i < universe / 2 + 1; ++i) {
-        const std::uint64_t x = rng.bounded(universe);
-        if (!in_a[x]) ++naive_a;
-        in_a[x] = true;
-        a.mark(x);
-        const std::uint64_t y = rng.bounded(universe);
-        in_b[y] = true;
-        b.mark(y);
-      }
-      for (std::uint64_t i = 0; i < universe; ++i) {
-        naive_overlap += in_a[i] && in_b[i];
-      }
-      EXPECT_EQ(a.count(), naive_a) << "universe=" << universe;
-      EXPECT_EQ(a.overlap(b), naive_overlap) << "universe=" << universe;
     }
   }
 }
