@@ -1,8 +1,9 @@
 #include "orion/charact/origins.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
+
+#include "orion/netbase/flat_map.hpp"
 
 namespace orion::charact {
 
@@ -11,46 +12,61 @@ OriginTable origin_table(const telescope::EventDataset& dataset,
                          const intel::AckedScannerList* acked,
                          const asdb::ReverseDns* rdns, std::size_t top_n) {
   struct Agg {
-    std::unordered_set<net::Ipv4Address> ips;
-    std::unordered_set<net::Ipv4Address> slash24s;
-    std::unordered_set<net::Ipv4Address> acked_ips;
+    std::uint32_t asn = 0;  // 0 = unattributed
+    std::uint64_t ips = 0;
+    std::uint64_t acked_ips = 0;
     std::uint64_t packets = 0;
+    std::vector<std::uint32_t> slash24s;  // deduplicated below
   };
-  std::unordered_map<std::uint32_t, Agg> by_asn;  // 0 = unattributed
+  std::vector<Agg> aggs;
+  net::FlatMap<std::uint32_t, std::uint32_t> agg_of_asn;  // asn -> aggs index
 
-  // IP-level membership/metadata first (packets accumulate per event below).
+  // Each AH source's AS is resolved once here; the event scan below then
+  // costs one flat-map probe per event (source -> its AS aggregate).
   OriginTable table;
-  std::unordered_set<net::Ipv4Address> all_slash24s;
+  net::FlatMap<net::Ipv4Address, std::uint32_t> agg_of_ip;
+  agg_of_ip.reserve(ah.size());
+  std::vector<std::uint32_t> all_slash24s;
+  all_slash24s.reserve(ah.size());
   for (const net::Ipv4Address ip : ah) {
     const asdb::AsRecord* as = registry.lookup(ip);
-    Agg& agg = by_asn[as ? as->asn : 0];
-    agg.ips.insert(ip);
-    agg.slash24s.insert(ip.slash24());
-    all_slash24s.insert(ip.slash24());
-    if (acked && rdns && acked->match(ip, *rdns)) agg.acked_ips.insert(ip);
+    const std::uint32_t asn = as ? as->asn : 0;
+    const auto [index, inserted] =
+        agg_of_asn.try_emplace(asn, static_cast<std::uint32_t>(aggs.size()));
+    if (inserted) aggs.emplace_back().asn = asn;
+    agg_of_ip.try_emplace(ip, *index);
+    Agg& agg = aggs[*index];
+    ++agg.ips;
+    agg.slash24s.push_back(ip.slash24().value());
+    all_slash24s.push_back(ip.slash24().value());
+    if (acked && rdns && acked->match(ip, *rdns)) ++agg.acked_ips;
   }
 
   for (const telescope::DarknetEvent& e : dataset.events()) {
-    if (!ah.contains(e.key.src)) continue;
-    const asdb::AsRecord* as = registry.lookup(e.key.src);
-    by_asn[as ? as->asn : 0].packets += e.packets;
+    const std::uint32_t* index = agg_of_ip.find(e.key.src);
+    if (index == nullptr) continue;
+    aggs[*index].packets += e.packets;
     table.total_packets += e.packets;
   }
 
+  const auto distinct = [](std::vector<std::uint32_t>& v) {
+    std::sort(v.begin(), v.end());
+    return static_cast<std::uint64_t>(std::unique(v.begin(), v.end()) - v.begin());
+  };
   table.total_ips = ah.size();
-  table.total_slash24s = all_slash24s.size();
+  table.total_slash24s = distinct(all_slash24s);
 
   std::vector<OriginRow> rows;
-  rows.reserve(by_asn.size());
-  for (const auto& [asn, agg] : by_asn) {
+  rows.reserve(aggs.size());
+  for (Agg& agg : aggs) {
     OriginRow row;
-    row.asn = asn;
-    const asdb::AsRecord* as = registry.find_asn(asn);
+    row.asn = agg.asn;
+    const asdb::AsRecord* as = registry.find_asn(agg.asn);
     row.as_type = as ? to_string(as->type) : "?";
     row.country = as ? as->country : "??";
-    row.unique_ips = agg.ips.size();
-    row.unique_slash24s = agg.slash24s.size();
-    row.acked_ips = agg.acked_ips.size();
+    row.unique_ips = agg.ips;
+    row.unique_slash24s = distinct(agg.slash24s);
+    row.acked_ips = agg.acked_ips;
     row.packets = agg.packets;
     rows.push_back(std::move(row));
   }

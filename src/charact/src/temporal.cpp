@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
+#include <vector>
+
+#include "orion/netbase/flat_map.hpp"
 
 namespace orion::charact {
 
@@ -56,22 +58,38 @@ TemporalTrends temporal_trends(const telescope::EventDataset& dataset,
     if (!noise_per_day.empty()) trends.total_packets[i] += noise_per_day[i];
   }
 
-  // All-scanner accounting straight from the events.
-  std::vector<std::unordered_set<net::Ipv4Address>> daily_sets(days);
-  std::vector<std::unordered_set<net::Ipv4Address>> active_sets(days);
+  // All-scanner accounting straight from the events, one probe per event.
+  // Events come in start order, so every interval already counted for a
+  // source began on or before this event's start day s: the days from s
+  // onward already counted for it are exactly [s, max_end]. Only the
+  // days past max_end are new, and they go into a difference array.
+  struct Counted {  // day indices from first_day; -1 = none counted yet
+    std::int32_t last_daily;  // last start day counted in all_daily
+    std::int32_t max_end;     // last day counted in all_active
+  };
+  net::FlatMap<net::Ipv4Address, Counted> counted;
+  counted.reserve(dataset.unique_sources());
+  std::vector<std::int64_t> active_delta(days + 1, 0);
   for (const telescope::DarknetEvent& e : dataset.events()) {
-    const auto start =
-        static_cast<std::size_t>(e.day() - detection.first_day);
-    daily_sets[start].insert(e.key.src);
-    const std::int64_t last = std::min(e.end.day(), detection.last_day);
-    for (std::int64_t d = e.day(); d <= last; ++d) {
-      active_sets[static_cast<std::size_t>(d - detection.first_day)].insert(
-          e.key.src);
+    const auto start = static_cast<std::int32_t>(e.day() - detection.first_day);
+    const auto last = static_cast<std::int32_t>(
+        std::min(e.end.day(), detection.last_day) - detection.first_day);
+    Counted* c = counted.try_emplace(e.key.src, Counted{-1, -1}).first;
+    if (c->last_daily != start) {
+      c->last_daily = start;
+      ++trends.all_daily[static_cast<std::size_t>(start)];
+    }
+    const std::int32_t from = std::max(start, c->max_end + 1);
+    if (from <= last) {
+      ++active_delta[static_cast<std::size_t>(from)];
+      --active_delta[static_cast<std::size_t>(last + 1)];
+      c->max_end = last;
     }
   }
+  std::int64_t active = 0;
   for (std::size_t i = 0; i < days; ++i) {
-    trends.all_daily[i] = daily_sets[i].size();
-    trends.all_active[i] = active_sets[i].size();
+    active += active_delta[i];
+    trends.all_active[i] = static_cast<std::uint64_t>(active);
   }
   return trends;
 }

@@ -5,10 +5,11 @@
 #pragma once
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "orion/detect/detector.hpp"
-#include "orion/detect/port_set.hpp"
 #include "orion/netbase/flat_map.hpp"
 #include "orion/stats/ecdf.hpp"
 
@@ -18,6 +19,9 @@ namespace orion::detect::detail {
 /// last_day(), and for_each_event(fn) where fn receives a DarknetEvent or
 /// any type with the same read interface (key, start, end, packets,
 /// unique_dests, day(), dispersion()), in dataset (start, key) order.
+/// The passes below rely on one consequence of that order: event days are
+/// nondecreasing and lie in [first_day, last_day]. A day that regresses
+/// or leaves the window throws std::logic_error.
 template <typename Source>
 DetectionResult detect_core(const DetectorConfig& config, const Source& source) {
   DetectionResult result;
@@ -41,26 +45,60 @@ DetectionResult detect_core(const DetectorConfig& config, const Source& source) 
   result.total_event_packets_per_day.assign(day_count, 0);
 
   // --- Pass 1: calibrate ECDF thresholds (Definitions 2 and 3).
-  stats::Ecdf packet_ecdf;
-  // (src, day) -> distinct destination ports. A tag-probed FlatMap keyed
-  // on the packed 44-bit src / 20-bit day-index word: one heap node per
-  // entry (the PortSet promotes itself) instead of unordered_map's node
-  // per entry *and* per port. Every consumer below is order-independent
-  // (ECDF sorts, daily/active are sort_unique'd, ips is a set), so the
-  // change of iteration order cannot change results.
-  net::FlatMap<std::uint64_t, PortSet> day_ports;
+  // Distinct ports per (source, day) without a per-pair set: the open
+  // day's (src << 16 | port) words are buffered, and when the day closes
+  // they are sorted and deduplicated, so each source's run length is its
+  // distinct-port count. The counts land in day-then-source order, which
+  // no consumer depends on (the ECDF is a multiset, D3's daily/active
+  // are sort_unique'd below, ips is a set).
+  struct SourceDay {
+    net::Ipv4Address src;
+    std::uint32_t day_index = 0;
+    std::uint32_t ports = 0;
+  };
+  std::vector<SourceDay> source_days;
+  std::vector<std::uint64_t> day_words;
+  std::vector<std::uint64_t> packets;
+  packets.reserve(source.event_count());
+  std::int64_t open_day = result.first_day;
+  const auto close_day = [&] {
+    std::sort(day_words.begin(), day_words.end());
+    day_words.erase(std::unique(day_words.begin(), day_words.end()),
+                    day_words.end());
+    const auto index = static_cast<std::uint32_t>(day_index(open_day));
+    for (std::size_t i = 0; i < day_words.size();) {
+      const std::uint64_t src = day_words[i] >> 16;
+      std::size_t j = i + 1;
+      while (j < day_words.size() && (day_words[j] >> 16) == src) ++j;
+      source_days.push_back({net::Ipv4Address(static_cast<std::uint32_t>(src)),
+                             index, static_cast<std::uint32_t>(j - i)});
+      i = j;
+    }
+    day_words.clear();
+  };
   source.for_each_event([&](const auto& e) {
-    packet_ecdf.add(e.packets);
+    const std::int64_t day = e.day();
+    if (day != open_day) {
+      if (day < open_day || day > result.last_day) {
+        throw std::logic_error(
+            "detect: events must come in nondecreasing day order within "
+            "[first_day, last_day]");
+      }
+      close_day();
+      open_day = day;
+    }
+    packets.push_back(e.packets);
     if (e.key.type != pkt::TrafficType::IcmpEchoReq) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(e.key.src.value()) << 20) |
-          static_cast<std::uint64_t>(day_index(e.day()));
-      day_ports.try_emplace(key).first->insert(e.key.dst_port);
+      day_words.push_back((std::uint64_t{e.key.src.value()} << 16) |
+                          e.key.dst_port);
     }
   });
-  stats::Ecdf port_ecdf;
-  day_ports.for_each(
-      [&](std::uint64_t, const PortSet& ports) { port_ecdf.add(ports.size()); });
+  close_day();
+  const stats::Ecdf packet_ecdf(std::move(packets));
+  std::vector<std::uint64_t> port_counts;
+  port_counts.reserve(source_days.size());
+  for (const SourceDay& sd : source_days) port_counts.push_back(sd.ports);
+  const stats::Ecdf port_ecdf(std::move(port_counts));
 
   DefinitionResult& d1 = result.of(Definition::AddressDispersion);
   DefinitionResult& d2 = result.of(Definition::PacketVolume);
@@ -94,15 +132,13 @@ DetectionResult detect_core(const DetectorConfig& config, const Source& source) 
   // Sources qualify on days where their port count crosses the threshold;
   // the "event interval" of a D3 qualification is the day itself.
   if (d3.threshold > 0) {
-    day_ports.for_each([&](std::uint64_t key, const PortSet& ports) {
-      if (ports.size() < d3.threshold) return;
-      const auto src = net::Ipv4Address(static_cast<std::uint32_t>(key >> 20));
-      const auto index = static_cast<std::size_t>(key & 0xFFFFF);
+    for (const SourceDay& sd : source_days) {
+      if (sd.ports < d3.threshold) continue;
       ++d3.qualifying_events;
-      d3.ips.insert(src);
-      d3.daily[index].push_back(src);
-      d3.active[index].push_back(src);
-    });
+      d3.ips.insert(sd.src);
+      d3.daily[sd.day_index].push_back(sd.src);
+      d3.active[sd.day_index].push_back(sd.src);
+    }
   }
 
   const auto sort_unique = [](std::vector<net::Ipv4Address>& v) {
@@ -115,13 +151,28 @@ DetectionResult detect_core(const DetectorConfig& config, const Source& source) 
   }
 
   // --- Daily-AH packet attribution (Fig 3 right): all packets of events
-  // starting on day d whose source is among that day's daily AH.
+  // starting on day d whose source is among that day's daily AH. One
+  // flat map per day (source -> bit k set when it is a daily AH under
+  // definition k) answers all three definitions with one probe per event.
+  net::FlatMap<net::Ipv4Address, std::uint8_t> daily_mask;
+  std::size_t mask_index = day_count;  // no day loaded yet
   source.for_each_event([&](const auto& e) {
     const std::size_t index = day_index(e.day());
-    for (DefinitionResult& def : result.by_definition) {
-      const auto& day = def.daily[index];
-      if (std::binary_search(day.begin(), day.end(), e.key.src)) {
-        def.daily_ah_packets[index] += e.packets;
+    if (index != mask_index) {
+      mask_index = index;
+      daily_mask.clear();
+      for (std::size_t k = 0; k < result.by_definition.size(); ++k) {
+        for (const net::Ipv4Address src : result.by_definition[k].daily[index]) {
+          *daily_mask.try_emplace(src, std::uint8_t{0}).first |=
+              static_cast<std::uint8_t>(1u << k);
+        }
+      }
+    }
+    const std::uint8_t* mask = daily_mask.find(e.key.src);
+    if (mask == nullptr) return;
+    for (std::size_t k = 0; k < result.by_definition.size(); ++k) {
+      if ((*mask >> k) & 1u) {
+        result.by_definition[k].daily_ah_packets[index] += e.packets;
       }
     }
   });

@@ -22,6 +22,8 @@ class Ecdf {
 
   /// The q-quantile (0 <= q <= 1) using the inverse-ECDF convention:
   /// smallest sample s with F(s) >= q. Throws std::logic_error when empty.
+  /// Exact either way: reads the sorted array when it is already sorted,
+  /// else selects the order statistic with std::nth_element (O(n)).
   std::uint64_t quantile(double q) const;
 
   /// The paper's "critical threshold": the (1 - alpha) quantile, so that a

@@ -33,14 +33,21 @@ double Ecdf::at(std::uint64_t x) const {
 std::uint64_t Ecdf::quantile(double q) const {
   if (samples_.empty()) throw std::logic_error("Ecdf::quantile on empty ECDF");
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("Ecdf::quantile: q out of range");
-  ensure_sorted();
-  if (q <= 0.0) return samples_.front();
   // Smallest index i with (i + 1) / n >= q  =>  i = ceil(q * n) - 1.
-  const auto n = static_cast<double>(samples_.size());
-  auto index = static_cast<std::size_t>(std::ceil(q * n));
-  if (index > 0) --index;
-  if (index >= samples_.size()) index = samples_.size() - 1;
-  return samples_[index];
+  std::size_t index = 0;
+  if (q > 0.0) {
+    const auto n = static_cast<double>(samples_.size());
+    index = static_cast<std::size_t>(std::ceil(q * n));
+    if (index > 0) --index;
+    if (index >= samples_.size()) index = samples_.size() - 1;
+  }
+  if (sorted_) return samples_[index];
+  // Unsorted: select the order statistic in O(n) instead of sorting — the
+  // detector reads one threshold from a million-sample ECDF. nth_element
+  // only permutes the samples, so later sorted reads are unaffected.
+  const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(index);
+  std::nth_element(samples_.begin(), nth, samples_.end());
+  return *nth;
 }
 
 std::uint64_t Ecdf::min() const {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <map>
 #include <set>
 #include <sstream>
 #include <vector>
 
+#include "detector_core.hpp"
 #include "orion/detect/detector.hpp"
 #include "orion/detect/lists.hpp"
 #include "orion/detect/port_set.hpp"
@@ -207,6 +211,178 @@ TEST(Detector, ConfigValidation) {
   config = {};
   config.port_count_alpha = 0.0;
   EXPECT_THROW(AggressiveScannerDetector{config}, std::invalid_argument);
+}
+
+// ------------------------------------------------------------ naive oracle
+
+// Days 0..7 of random traffic from 60 sources that reuse ports across
+// days, with ICMP events, multi-day events, and day 5 carrying a single
+// source. One port sweeper hits 30 ports on even days and 2 ports (each
+// 20 times) on odd days, so the D3 threshold is crossed on some of its
+// days only.
+telescope::EventDataset random_dataset(std::uint64_t seed) {
+  net::Rng rng(seed);
+  const std::uint16_t ports[] = {22, 23, 53, 80, 443, 2323, 3389, 8080};
+  std::vector<telescope::DarknetEvent> events;
+  const auto add = [&](std::uint32_t src, std::uint16_t port, pkt::TrafficType type,
+                       std::int64_t day) {
+    telescope::DarknetEvent e;
+    e.key = {net::Ipv4Address(src), port, type};
+    e.start = net::SimTime::at(net::Duration::days(day) +
+                               net::Duration::minutes(static_cast<std::int64_t>(
+                                   rng.bounded(24 * 60))));
+    e.end = e.start + net::Duration::hours(static_cast<std::int64_t>(rng.bounded(80)));
+    e.packets = rng.bounded(8) == 0 ? 2000 + rng.bounded(5000) : 1 + rng.bounded(60);
+    e.unique_dests = std::min<std::uint64_t>(
+        e.packets, rng.bounded(6) == 0 ? 80 + rng.bounded(200) : rng.bounded(50));
+    e.packets_by_tool[telescope::tool_index(pkt::ScanTool::Other)] = e.packets;
+    events.push_back(e);
+  };
+  for (std::int64_t day = 0; day < 8; ++day) {
+    const int sources = day == 5 ? 1 : 30;
+    for (int s = 0; s < sources; ++s) {
+      const auto src = 0x0A000000u + static_cast<std::uint32_t>(rng.bounded(60));
+      for (std::uint64_t k = 0, n = 1 + rng.bounded(4); k < n; ++k) {
+        if (rng.bounded(6) == 0) {
+          add(src, 0, pkt::TrafficType::IcmpEchoReq, day);
+        } else {
+          const std::uint16_t port = ports[rng.bounded(std::size(ports))];
+          add(src, port,
+              rng.bounded(4) == 0 ? pkt::TrafficType::Udp : pkt::TrafficType::TcpSyn,
+              day);
+        }
+      }
+    }
+    if (day == 5) continue;
+    const int sweep = day % 2 == 0 ? 30 : 40;
+    for (int p = 0; p < sweep; ++p) {
+      add(0xCB007109u, static_cast<std::uint16_t>(1000 + (day % 2 == 0 ? p : p % 2)),
+          pkt::TrafficType::TcpSyn, day);
+    }
+  }
+  return telescope::EventDataset(std::move(events), kDarknetSize);
+}
+
+std::uint64_t oracle_threshold(std::vector<std::uint64_t> samples, double alpha) {
+  std::sort(samples.begin(), samples.end());
+  auto index = static_cast<std::size_t>(
+      std::ceil((1.0 - alpha) * static_cast<double>(samples.size())));
+  if (index > 0) --index;
+  return samples[std::min(index, samples.size() - 1)];
+}
+
+TEST(Detector, MatchesNaiveSetOracle) {
+  for (const std::uint64_t seed : {3u, 19u, 2024u}) {
+    SCOPED_TRACE(seed);
+    const telescope::EventDataset dataset = random_dataset(seed);
+    const DetectorConfig config = test_config();
+    const DetectionResult result = AggressiveScannerDetector(config).detect(dataset);
+
+    const std::int64_t first = dataset.first_day();
+    const std::int64_t last = dataset.last_day();
+    const auto days = static_cast<std::size_t>(last - first + 1);
+    std::map<std::pair<net::Ipv4Address, std::int64_t>, std::set<std::uint16_t>> ports;
+    std::vector<std::uint64_t> packets;
+    std::vector<std::uint64_t> total(days, 0);
+    for (const telescope::DarknetEvent& e : dataset.events()) {
+      packets.push_back(e.packets);
+      total[static_cast<std::size_t>(e.day() - first)] += e.packets;
+      if (e.key.type != pkt::TrafficType::IcmpEchoReq) {
+        ports[{e.key.src, e.day()}].insert(e.key.dst_port);
+      }
+    }
+    std::vector<std::uint64_t> port_counts;
+    for (const auto& [key, set] : ports) port_counts.push_back(set.size());
+    const std::uint64_t threshold2 = oracle_threshold(packets, config.packet_volume_alpha);
+    const std::uint64_t threshold3 = oracle_threshold(port_counts, config.port_count_alpha);
+
+    std::array<std::set<net::Ipv4Address>, 3> ips;
+    std::array<std::uint64_t, 3> qualifying{};
+    std::array<std::vector<std::set<net::Ipv4Address>>, 3> daily, active;
+    for (std::size_t k = 0; k < 3; ++k) {
+      daily[k].resize(days);
+      active[k].resize(days);
+    }
+    const auto qualify = [&](std::size_t k, net::Ipv4Address src, std::int64_t from,
+                             std::int64_t to) {
+      ++qualifying[k];
+      ips[k].insert(src);
+      daily[k][static_cast<std::size_t>(from - first)].insert(src);
+      for (std::int64_t d = from; d <= std::min(to, last); ++d) {
+        active[k][static_cast<std::size_t>(d - first)].insert(src);
+      }
+    };
+    for (const telescope::DarknetEvent& e : dataset.events()) {
+      if (e.dispersion(kDarknetSize) >= config.dispersion_threshold) {
+        qualify(0, e.key.src, e.day(), e.end.day());
+      }
+      if (e.packets > threshold2) qualify(1, e.key.src, e.day(), e.end.day());
+    }
+    std::size_t sweeper_days = 0;
+    for (const auto& [key, set] : ports) {
+      if (set.size() < threshold3) continue;
+      qualify(2, key.first, key.second, key.second);
+      sweeper_days += key.first == net::Ipv4Address(0xCB007109u);
+    }
+    // The sweeper qualifies on its 30-port days and not on its 2-port days.
+    EXPECT_EQ(sweeper_days, 4u);
+
+    std::array<std::vector<std::uint64_t>, 3> daily_packets;
+    for (std::size_t k = 0; k < 3; ++k) {
+      daily_packets[k].assign(days, 0);
+      for (const telescope::DarknetEvent& e : dataset.events()) {
+        const auto d = static_cast<std::size_t>(e.day() - first);
+        if (daily[k][d].contains(e.key.src)) daily_packets[k][d] += e.packets;
+      }
+    }
+
+    const auto as_vectors = [](const std::vector<std::set<net::Ipv4Address>>& sets) {
+      std::vector<std::vector<net::Ipv4Address>> out;
+      for (const auto& set : sets) out.emplace_back(set.begin(), set.end());
+      return out;
+    };
+    EXPECT_EQ(result.total_event_packets_per_day, total);
+    EXPECT_EQ(result.of(Definition::PacketVolume).threshold, threshold2);
+    EXPECT_EQ(result.of(Definition::DistinctPorts).threshold, threshold3);
+    for (std::size_t k = 0; k < 3; ++k) {
+      SCOPED_TRACE(k);
+      const DefinitionResult& def = result.by_definition[k];
+      EXPECT_EQ(std::set<net::Ipv4Address>(def.ips.begin(), def.ips.end()), ips[k]);
+      EXPECT_EQ(def.qualifying_events, qualifying[k]);
+      EXPECT_EQ(def.daily, as_vectors(daily[k]));
+      EXPECT_EQ(def.active, as_vectors(active[k]));
+      EXPECT_EQ(def.daily_ah_packets, daily_packets[k]);
+    }
+  }
+}
+
+/// A Source over a plain vector, to feed detect_core an order the
+/// EventDataset constructor would have repaired.
+struct VectorSource {
+  std::vector<telescope::DarknetEvent> events;
+
+  std::uint64_t darknet_size() const { return kDarknetSize; }
+  std::uint64_t event_count() const { return events.size(); }
+  std::int64_t first_day() const { return 0; }
+  std::int64_t last_day() const { return 3; }
+  template <typename Fn>
+  void for_each_event(Fn&& fn) const {
+    for (const telescope::DarknetEvent& e : events) fn(e);
+  }
+};
+
+TEST(Detector, DayRegressionBreaksTheSourceContract) {
+  VectorSource source{{make_event("203.0.113.1", 23, 0, 5, 5),
+                       make_event("203.0.113.1", 80, 2, 5, 5),
+                       make_event("203.0.113.2", 23, 1, 5, 5)}};
+  EXPECT_THROW(detail::detect_core(test_config(), source), std::logic_error);
+  source.events = {make_event("203.0.113.1", 23, 0, 5, 5),
+                   make_event("203.0.113.1", 80, 4, 5, 5)};  // past last_day
+  EXPECT_THROW(detail::detect_core(test_config(), source), std::logic_error);
+  source.events = {make_event("203.0.113.1", 23, 0, 5, 5),
+                   make_event("203.0.113.2", 23, 0, 5, 5),
+                   make_event("203.0.113.1", 80, 3, 5, 5)};
+  EXPECT_NO_THROW(detail::detect_core(test_config(), source));
 }
 
 // -------------------------------------------------------------------- lists

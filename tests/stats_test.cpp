@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <set>
@@ -69,6 +70,37 @@ TEST(Ecdf, EmptyAndBadInputsThrow) {
   ecdf.add(1);
   EXPECT_THROW(ecdf.quantile(-0.1), std::invalid_argument);
   EXPECT_THROW(ecdf.quantile(1.1), std::invalid_argument);
+}
+
+TEST(Ecdf, SelectingQuantileMatchesSortedRead) {
+  // Never-sorted samples with heavy duplication and a thin tail.
+  std::vector<std::uint64_t> samples;
+  net::Rng rng(31);
+  for (int i = 0; i < 20000; ++i) samples.push_back(rng.bounded(40));
+  for (int i = 0; i < 9; ++i) samples.push_back(1000000 + rng.bounded(4));
+  std::vector<std::uint64_t> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  const Ecdf reference(samples);
+  ASSERT_EQ(reference.sorted_samples(), sorted);
+
+  const std::vector<double> qs = {0.0, 1e-4, 0.5, 1.0 - 1e-4, 1.0};
+  for (const double q : qs) {
+    const Ecdf fresh(samples);  // each quantile call is its first read
+    EXPECT_EQ(fresh.quantile(q), reference.quantile(q)) << "q=" << q;
+  }
+  // Repeated selecting calls on one never-sorted ECDF, then every sorted
+  // read: selection only permutes, so all of them stay exact.
+  const Ecdf ecdf(samples);
+  for (const double q : qs) {
+    EXPECT_EQ(ecdf.quantile(q), reference.quantile(q)) << "q=" << q;
+  }
+  EXPECT_EQ(ecdf.min(), sorted.front());
+  EXPECT_EQ(ecdf.max(), sorted.back());
+  for (const std::uint64_t x : {0u, 7u, 39u, 40u, 1000001u, 2000000u}) {
+    EXPECT_DOUBLE_EQ(ecdf.at(x), reference.at(x)) << "x=" << x;
+  }
+  EXPECT_EQ(ecdf.sorted_samples(), sorted);
+  EXPECT_EQ(ecdf.quantile(0.5), reference.quantile(0.5));
 }
 
 class EcdfQuantileProperty : public testing::TestWithParam<double> {};
