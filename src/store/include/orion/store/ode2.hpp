@@ -57,9 +57,9 @@ constexpr std::uint64_t ode2_block_bytes(std::uint64_t rows) {
 }
 
 /// Writes `dataset` in ODE2 form; returns total bytes written. Throws
-/// std::runtime_error on stream failure and std::invalid_argument if the
-/// dataset's events are not in non-decreasing start order (EventDataset
-/// guarantees the order; a hand-built vector might not).
+/// std::runtime_error on stream failure and std::invalid_argument on a
+/// bad block size. The day index relies on the (start, key) order every
+/// EventDataset holds.
 std::uint64_t write_events_ode2(
     const telescope::EventDataset& dataset, std::ostream& out,
     std::uint64_t block_events = kOde2DefaultBlockEvents);

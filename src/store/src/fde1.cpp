@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <tuple>
@@ -137,65 +138,54 @@ std::uint64_t write_flows_fde1_impl(std::uint32_t sampling_rate,
   header.insert(header.end(), fields.begin(), fields.end());
   sink(header.data(), header.size());
 
-  // Column blocks over the concatenated segment rows. A small staging
-  // batch regroups each block's rows (they can straddle segments) so the
-  // column runs serialize contiguously.
+  // Column blocks over the concatenated segment rows. Each block buffer is
+  // sized once; a block's rows can straddle segments, so every segment's
+  // share is copied column by column (one memcpy per column run) straight
+  // to its FlowColumnLayout offset, folding the source zone map as it goes.
   std::vector<FlowBlockInfo> infos;
   infos.reserve(static_cast<std::size_t>(block_count));
-  flowsim::FlowBatch staging(static_cast<std::size_t>(std::min(b, n)));
   std::vector<std::uint8_t> buf;
   std::size_t seg = 0;       // segment the next row comes from
   std::size_t seg_row = 0;   // row within that segment
   std::uint64_t offset = kFde1HeaderBytes;
   for (std::uint64_t k = 0; k < block_count; ++k) {
     const std::uint64_t rows = std::min(b, n - k * b);
-    staging.clear();
-    while (staging.size() < rows) {
+    const detail::FlowColumnLayout at(rows);
+    buf.resize(static_cast<std::size_t>(fde1_block_bytes(rows)));
+    std::uint8_t* const base = buf.data();
+    std::fill(base + at.proto + rows, base + buf.size(), std::uint8_t{0});  // pad
+
+    FlowBlockInfo info;
+    info.offset = offset;
+    info.min_src = std::numeric_limits<std::uint32_t>::max();
+    for (std::uint64_t filled = 0; filled < rows;) {
       while (seg_row >= segments[seg].rows.size()) {
         ++seg;
         seg_row = 0;
       }
-      staging.append_record(segments[seg].rows, seg_row++);
-    }
-
-    buf.clear();
-    buf.reserve(static_cast<std::size_t>(fde1_block_bytes(rows)));
-    const auto m = static_cast<std::size_t>(rows);
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::int64_t>(buf, staging.ts_ns_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint64_t>(buf, staging.packets_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint64_t>(buf, staging.bytes_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint32_t>(buf, staging.src_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint32_t>(buf, staging.dst_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint16_t>(buf, staging.src_port_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint16_t>(buf, staging.dst_port_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint16_t>(buf, staging.router_col()[i]);
-    }
-    for (std::size_t i = 0; i < m; ++i) {
-      detail::append<std::uint8_t>(buf, staging.proto_col()[i]);
-    }
-    buf.resize(static_cast<std::size_t>(fde1_block_bytes(rows)), 0);  // pad
-
-    FlowBlockInfo info;
-    info.offset = offset;
-    info.min_src = info.max_src = staging.src_col()[0];
-    for (std::size_t i = 1; i < m; ++i) {
-      info.min_src = std::min(info.min_src, staging.src_col()[i]);
-      info.max_src = std::max(info.max_src, staging.src_col()[i]);
+      const flowsim::FlowBatch& from = segments[seg].rows;
+      const auto take = static_cast<std::size_t>(
+          std::min<std::uint64_t>(rows - filled, from.size() - seg_row));
+      const auto copy = [&](std::uint64_t column_at, const auto& column) {
+        constexpr std::size_t w = sizeof(column[0]);
+        std::memcpy(base + column_at + w * filled, column.data() + seg_row,
+                    w * take);
+      };
+      copy(at.ts, from.ts_ns_col());
+      copy(at.packets, from.packets_col());
+      copy(at.bytes, from.bytes_col());
+      copy(at.src, from.src_col());
+      copy(at.dst, from.dst_col());
+      copy(at.src_port, from.src_port_col());
+      copy(at.dst_port, from.dst_port_col());
+      copy(at.router, from.router_col());
+      copy(at.proto, from.proto_col());
+      const std::uint32_t* srcs = from.src_col().data() + seg_row;
+      const auto [lo, hi] = std::minmax_element(srcs, srcs + take);
+      info.min_src = std::min(info.min_src, *lo);
+      info.max_src = std::max(info.max_src, *hi);
+      filled += take;
+      seg_row += take;
     }
     info.crc = net::Crc32::of({buf.data(), buf.size()});
     infos.push_back(info);

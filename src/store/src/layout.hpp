@@ -43,7 +43,14 @@ void append(std::vector<std::uint8_t>& out, T v) {
   std::memcpy(out.data() + at, &v, sizeof(T));
 }
 
-/// Byte offsets of each column inside a block of `m` rows.
+/// Stores `v` at `p` in host (= on-disk little-endian) byte order.
+template <typename T>
+void put(std::uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
+}
+
+/// Byte offsets of each column inside a block of `m` rows — the one
+/// layout definition the writer fills and every reader decodes.
 struct ColumnLayout {
   std::uint64_t start, end, packets, dests, tool[4], src, port, type;
 

@@ -37,14 +37,10 @@ std::uint64_t write_events_ode2_impl(const telescope::EventDataset& dataset,
   if (block_events == 0 || block_events > detail::kMaxBlockEvents) {
     throw std::invalid_argument("ode2 store: bad block size");
   }
+  // EventDataset holds its events in (start, key) order, so start days
+  // never decrease: the day index and block day bounds rely on it.
   const auto& events = dataset.events();
   const std::uint64_t n = events.size();
-  for (std::uint64_t i = 1; i < n; ++i) {
-    if (events[i].start < events[i - 1].start) {
-      throw std::invalid_argument(
-          "ode2 store: events not in start order (day index needs it)");
-    }
-  }
 
   const std::uint64_t b = block_events;
   const std::uint64_t block_count = n == 0 ? 0 : (n + b - 1) / b;
@@ -66,54 +62,45 @@ std::uint64_t write_events_ode2_impl(const telescope::EventDataset& dataset,
   header.insert(header.end(), fields.begin(), fields.end());
   sink(header.data(), header.size());
 
-  // Column blocks, each assembled in memory for one write + one CRC.
+  // Column blocks, each assembled in memory for one write + one CRC: the
+  // buffer is sized once per block and one row loop fills every column at
+  // its ColumnLayout offset while folding the source zone map. Start order
+  // makes the block's first and last rows its day bounds.
   std::vector<BlockMeta> metas;
   metas.reserve(static_cast<std::size_t>(block_count));
   std::vector<std::uint8_t> buf;
   std::uint64_t offset = kOde2HeaderBytes;
   for (std::uint64_t k = 0; k < block_count; ++k) {
     const std::uint64_t lo = k * b;
-    const std::uint64_t hi = std::min(n, lo + b);
-    buf.clear();
-    buf.reserve(static_cast<std::size_t>(ode2_block_bytes(hi - lo)));
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::int64_t>(buf, events[i].start.since_epoch().total_nanos());
-    }
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::int64_t>(buf, events[i].end.since_epoch().total_nanos());
-    }
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::uint64_t>(buf, events[i].packets);
-    }
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::uint64_t>(buf, events[i].unique_dests);
-    }
-    for (std::size_t t = 0; t < std::tuple_size_v<telescope::ToolPackets>; ++t) {
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        detail::append<std::uint64_t>(buf, events[i].packets_by_tool[t]);
-      }
-    }
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::uint32_t>(buf, events[i].key.src.value());
-    }
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::uint16_t>(buf, events[i].key.dst_port);
-    }
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      detail::append<std::uint8_t>(buf,
-                                   static_cast<std::uint8_t>(events[i].key.type));
-    }
-    buf.resize(static_cast<std::size_t>(ode2_block_bytes(hi - lo)), 0);  // pad
+    const std::uint64_t m = std::min(n, lo + b) - lo;
+    const detail::ColumnLayout at(m);
+    buf.resize(static_cast<std::size_t>(ode2_block_bytes(m)));
+    std::uint8_t* const base = buf.data();
+    std::fill(base + at.type + m, base + buf.size(), std::uint8_t{0});  // pad
 
     BlockMeta meta;
     meta.offset = offset;
-    meta.min_day = meta.max_day = events[lo].day();
+    meta.min_day = events[lo].day();
+    meta.max_day = events[lo + m - 1].day();
     meta.min_src = meta.max_src = events[lo].key.src.value();
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      meta.min_day = std::min(meta.min_day, events[i].day());
-      meta.max_day = std::max(meta.max_day, events[i].day());
-      meta.min_src = std::min(meta.min_src, events[i].key.src.value());
-      meta.max_src = std::max(meta.max_src, events[i].key.src.value());
+    for (std::uint64_t i = 0; i < m; ++i) {
+      const telescope::DarknetEvent& e = events[lo + i];
+      const std::uint32_t src = e.key.src.value();
+      detail::put<std::int64_t>(base + at.start + 8 * i,
+                                e.start.since_epoch().total_nanos());
+      detail::put<std::int64_t>(base + at.end + 8 * i,
+                                e.end.since_epoch().total_nanos());
+      detail::put<std::uint64_t>(base + at.packets + 8 * i, e.packets);
+      detail::put<std::uint64_t>(base + at.dests + 8 * i, e.unique_dests);
+      for (std::size_t t = 0; t < e.packets_by_tool.size(); ++t) {
+        detail::put<std::uint64_t>(base + at.tool[t] + 8 * i,
+                                   e.packets_by_tool[t]);
+      }
+      detail::put<std::uint32_t>(base + at.src + 4 * i, src);
+      detail::put<std::uint16_t>(base + at.port + 2 * i, e.key.dst_port);
+      base[at.type + i] = static_cast<std::uint8_t>(e.key.type);
+      meta.min_src = std::min(meta.min_src, src);
+      meta.max_src = std::max(meta.max_src, src);
     }
     meta.crc = net::Crc32::of({buf.data(), buf.size()});
     metas.push_back(meta);
@@ -132,13 +119,16 @@ std::uint64_t write_events_ode2_impl(const telescope::EventDataset& dataset,
   detail::append<std::uint64_t>(footer, day_count);
   detail::append<std::uint64_t>(footer, block_count);
   detail::append<std::uint64_t>(footer, 0);  // day_start[0]
-  std::uint64_t cursor = 0;
+  // day_start[d + 1]: rows starting on or before day first_day + d, found
+  // by binary search over the start-ordered rows.
+  auto cursor = events.begin();
   for (std::uint64_t d = 0; d < day_count; ++d) {
-    while (cursor < n &&
-           events[cursor].day() <= first_day + static_cast<std::int64_t>(d)) {
-      ++cursor;
-    }
-    detail::append<std::uint64_t>(footer, cursor);
+    const std::int64_t day = first_day + static_cast<std::int64_t>(d);
+    cursor = std::partition_point(
+        cursor, events.end(),
+        [day](const telescope::DarknetEvent& e) { return e.day() <= day; });
+    detail::append<std::uint64_t>(
+        footer, static_cast<std::uint64_t>(cursor - events.begin()));
   }
   for (const BlockMeta& meta : metas) {
     detail::append<std::uint64_t>(footer, meta.offset);

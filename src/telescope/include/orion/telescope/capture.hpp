@@ -17,6 +17,9 @@ namespace orion::telescope {
 /// corresponding to one of the paper's datasets (Darknet-1, Darknet-2).
 class EventDataset {
  public:
+  /// Puts `events` in total (start, key) order. Input already in start
+  /// order (every batch producer's output) costs one pass plus a key
+  /// sort of each run of equal starts; anything else is fully sorted.
   EventDataset(std::vector<DarknetEvent> events, std::uint64_t darknet_size);
 
   const std::vector<DarknetEvent>& events() const { return events_; }
@@ -29,7 +32,7 @@ class EventDataset {
   std::int64_t last_day() const { return last_day_; }
 
  private:
-  std::vector<DarknetEvent> events_;  // sorted by start time
+  std::vector<DarknetEvent> events_;  // total (start, key) order
   std::uint64_t darknet_size_;
   std::uint64_t total_packets_ = 0;
   std::size_t unique_sources_ = 0;

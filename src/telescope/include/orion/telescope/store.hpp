@@ -1,7 +1,8 @@
-// Darknet-event persistence: a compact binary format (magic + version +
-// darknet size + fixed-width records) and a CSV export, so longitudinal
-// event datasets can be archived and reloaded without re-simulation or
-// re-aggregation — the role of the ORION "darknet events" files.
+// Darknet-event persistence: a compact binary format (magic + darknet
+// size + record count + fixed-width records) and a CSV export, so
+// longitudinal event datasets can be archived and reloaded without
+// re-simulation or re-aggregation — the role of the ORION "darknet events"
+// files.
 #pragma once
 
 #include <cstdint>
@@ -14,14 +15,15 @@
 
 namespace orion::telescope {
 
-/// Writes a dataset; returns bytes written. The format is little-endian,
-/// fixed-width, versioned ("ODE1"). Throws std::runtime_error if the
-/// stream reports a write failure (short write, full disk).
+/// Writes a dataset; returns bytes written. The format is little-endian
+/// and fixed-width; the "ODE1" magic is its only identifier (there is no
+/// version field). Throws std::runtime_error if the stream reports a
+/// write failure (short write, full disk).
 std::uint64_t write_events_binary(const EventDataset& dataset, std::ostream& out);
 
 /// Reads a dataset written by write_events_binary. Throws
-/// std::runtime_error (with context) on bad magic, version, truncation or
-/// a record count mismatch.
+/// std::runtime_error (with context) on bad magic, truncation or a record
+/// count mismatch.
 EventDataset read_events_binary(std::istream& in);
 
 /// Salvage-mode read for truncated or corrupt ODE1 files: recovers every

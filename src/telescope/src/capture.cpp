@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "orion/netbase/flat_map.hpp"
 #include "orion/telescope/checkpoint.hpp"
 
 namespace orion::telescope {
@@ -47,23 +48,46 @@ EventDataset::EventDataset(std::vector<DarknetEvent> events,
   // Total order (start, key): (start, key) is unique — one live event per
   // key at a time — so dataset order is independent of emission order,
   // which the sharded pipeline relies on for byte-identical merges.
-  std::sort(events_.begin(), events_.end(),
-            [](const DarknetEvent& a, const DarknetEvent& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.key < b.key;
-            });
-  std::unordered_set<net::Ipv4Address> sources;
+  //
+  // Every batch producer (synthesize_events, the ODE1/ODE2 readers and
+  // their salvage paths) already hands over start-ordered rows, so one
+  // is_sorted pass usually leaves only each run of equal starts to order
+  // by key. Unordered input (the sharded pipeline's concatenation) takes
+  // the full sort; both paths yield the same total order.
+  const auto by_start = [](const DarknetEvent& a, const DarknetEvent& b) {
+    return a.start < b.start;
+  };
+  if (std::is_sorted(events_.begin(), events_.end(), by_start)) {
+    const auto by_key = [](const DarknetEvent& a, const DarknetEvent& b) {
+      return a.key < b.key;
+    };
+    for (auto run = events_.begin(); run != events_.end();) {
+      const net::SimTime start = run->start;
+      const auto stop = std::find_if(run + 1, events_.end(),
+                                     [start](const DarknetEvent& e) {
+                                       return e.start != start;
+                                     });
+      if (stop - run > 1) std::sort(run, stop, by_key);
+      run = stop;
+    }
+  } else {
+    std::sort(events_.begin(), events_.end(),
+              [](const DarknetEvent& a, const DarknetEvent& b) {
+                if (a.start != b.start) return a.start < b.start;
+                return a.key < b.key;
+              });
+  }
+  // Packet total and distinct sources in one pass; the flat set costs one
+  // probe per event and no per-source allocation.
+  net::FlatMap<std::uint32_t, bool> sources;
   for (const DarknetEvent& e : events_) {
     total_packets_ += e.packets;
-    sources.insert(e.key.src);
+    sources.try_emplace(e.key.src.value(), true);
   }
   unique_sources_ = sources.size();
   if (!events_.empty()) {
     first_day_ = events_.front().day();
-    last_day_ = 0;
-    for (const DarknetEvent& e : events_) {
-      last_day_ = std::max(last_day_, e.day());
-    }
+    last_day_ = events_.back().day();
   }
 }
 

@@ -18,6 +18,7 @@
 #include "orion/flowsim/netflow5.hpp"
 #include "orion/flowsim/netflow_bridge.hpp"
 #include "orion/impact/flow_join.hpp"
+#include "orion/netbase/crc32.hpp"
 #include "orion/scangen/scenario.hpp"
 #include "orion/store/fde1.hpp"
 #include "orion/store/mapped_flow.hpp"
@@ -239,6 +240,75 @@ TEST(Fde1, WriterValidatesSegmentsAndRowOrder) {
 
   // Bad block size.
   EXPECT_THROW(write_flows_fde1(10, 0, 5, {}, out, 0), std::invalid_argument);
+}
+
+// ----------------------------------------------------------- golden bytes
+
+/// Fixed pseudo-random segments (SplitMix64, no simulator dependency):
+/// three routers by three days, one empty cell, rows in the writer's
+/// (src, dst_port, type) order with every column populated.
+std::vector<Fde1Segment> golden_segments() {
+  std::uint64_t state = 0xFDE15EEDull;
+  auto next = [&state] {
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  constexpr std::int64_t kNanosPerDay = 86'400'000'000'000;
+  constexpr std::uint8_t kProtos[] = {6, 17, 1};
+  std::vector<Fde1Segment> segments;
+  for (const std::uint16_t router : {0, 1, 3}) {
+    for (std::int64_t day = 4; day < 7; ++day) {
+      Fde1Segment seg;
+      seg.router = router;
+      seg.day = day;
+      const std::uint64_t rows =
+          router == 1 && day == 5 ? 0 : 50 + next() % 300;
+      for (std::uint64_t j = 0; j < rows; ++j) {
+        flowsim::FlowRecord r;
+        r.router = router;
+        r.ts_ns = day * kNanosPerDay +
+                  static_cast<std::int64_t>(next() % kNanosPerDay);
+        r.src = net::Ipv4Address(0x0A000000u + static_cast<std::uint32_t>(
+                                                   j * 13 + next() % 13));
+        r.dst = net::Ipv4Address(static_cast<std::uint32_t>(next()));
+        r.src_port = static_cast<std::uint16_t>(next());
+        r.dst_port = static_cast<std::uint16_t>(next());
+        r.proto = kProtos[next() % 3];
+        r.packets = 1 + next() % 1000;
+        r.bytes = r.packets * (40 + next() % 1460);
+        seg.rows.push_back(r);
+        seg.scanner_packets += r.packets;
+      }
+      seg.user_packets = next() % 100000;
+      seg.total_packets = seg.user_packets + seg.scanner_packets;
+      segments.push_back(std::move(seg));
+    }
+  }
+  return segments;
+}
+
+// Pins the writer's exact output, not just reader(writer(x)) == x: a
+// writer and reader that drifted together would still round-trip.
+TEST(Fde1Golden, WriterBytesArePinned) {
+  const std::vector<Fde1Segment> segments = golden_segments();
+  struct Pin {
+    std::uint64_t block_flows;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  for (const Pin& pin : {Pin{1, 129088, 0xA08CAC24u},
+                         Pin{7, 92368, 0xF86AF83Cu},
+                         Pin{kFde1DefaultBlockFlows, 84152, 0x7EED6D4Cu}}) {
+    std::stringstream stream;
+    write_flows_fde1(100, 4, 7, segments, stream, pin.block_flows);
+    const std::string bytes = stream.str();
+    const std::uint32_t crc = net::Crc32::of(
+        {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
+    EXPECT_EQ(bytes.size(), pin.size) << pin.block_flows;
+    EXPECT_EQ(crc, pin.crc) << pin.block_flows << " crc 0x" << std::hex << crc;
+  }
 }
 
 // ------------------------------------------------------------- sniffing

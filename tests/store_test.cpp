@@ -1,21 +1,27 @@
 // ODE2 columnar store tests: ODE1 <-> ODE2 round-trip equivalence, the
-// zero-copy query surface (day index, zone maps, parallel_scan), the
-// corrupt-input salvage corpus mirroring tests/telescope_test.cpp, and
+// writer's pinned golden bytes, the EventDataset build order every reader
+// relies on, the zero-copy query surface (day index, zone maps,
+// parallel_scan), the corrupt-input salvage corpus mirroring
+// tests/telescope_test.cpp, and
 // the analysis-equivalence pins (detection and darknet mixes fed from an
 // mmap'ed archive must match the materialized-dataset paths exactly).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "orion/detect/detector.hpp"
 #include "orion/impact/flow_join.hpp"
+#include "orion/netbase/crc32.hpp"
 #include "orion/scangen/event_synth.hpp"
 #include "orion/scangen/scenario.hpp"
 #include "orion/store/mapped.hpp"
@@ -138,6 +144,158 @@ TEST(Ode2RoundTrip, WriterRejectsBadBlockSize) {
   EXPECT_THROW(write_events_ode2(dataset, out, 0), std::invalid_argument);
   EXPECT_THROW(write_events_ode2(dataset, out, std::uint64_t{1} << 60),
                std::invalid_argument);
+}
+
+// ----------------------------------------------------------- golden bytes
+
+/// Fixed pseudo-random events (SplitMix64, no simulator dependency) with
+/// three-way start ties, ten days, every traffic type and every tool
+/// column populated. Keys within a tie are distinct, so (start, key) is a
+/// total order and the dataset is fully determined by this function.
+EventDataset golden_dataset() {
+  std::uint64_t state = 0x0DE25EEDull;
+  auto next = [&state] {
+    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  std::vector<DarknetEvent> events;
+  for (std::uint32_t i = 0; i < 1500; ++i) {
+    DarknetEvent e;
+    e.key.src = net::Ipv4Address(0x0A000000u + (i * 7919u) % 4001u);
+    e.key.type = static_cast<pkt::TrafficType>(next() % 4);
+    e.key.dst_port = e.key.type == pkt::TrafficType::IcmpEchoReq
+                         ? 0
+                         : static_cast<std::uint16_t>(next() % 65536);
+    e.start = net::SimTime::at(net::Duration::seconds(1700 * (i / 3)));
+    e.end = e.start + net::Duration::seconds(static_cast<std::int64_t>(next() % 3600));
+    e.packets = 1 + next() % 100000;
+    e.unique_dests = 1 + next() % 5000;
+    for (std::uint64_t& t : e.packets_by_tool) t = next() % 1000;
+    events.push_back(e);
+  }
+  return EventDataset(std::move(events), 1u << 16);
+}
+
+std::uint32_t crc_of(const std::string& bytes) {
+  return net::Crc32::of(
+      {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
+}
+
+// Pins the writer's exact output, not just reader(writer(x)) == x: a
+// writer and reader that drifted together would still round-trip.
+TEST(Ode2Golden, WriterBytesArePinned) {
+  const EventDataset dataset = golden_dataset();
+  struct Pin {
+    std::uint64_t block_events;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  for (const Pin& pin : {Pin{1, 162164, 0xED3FAF6Eu},
+                         Pin{7, 115904, 0x46722F5Au},
+                         Pin{kOde2DefaultBlockEvents, 106740, 0x6B4469EBu}}) {
+    const std::string bytes = ode2_bytes(dataset, pin.block_events);
+    EXPECT_EQ(bytes.size(), pin.size) << pin.block_events;
+    EXPECT_EQ(crc_of(bytes), pin.crc)
+        << pin.block_events << " crc 0x" << std::hex << crc_of(bytes);
+  }
+}
+
+// ------------------------------------------------ EventDataset build order
+
+/// The dataset every input below must build: a full (start, key) sort and
+/// a std::set of sources, independent of EventDataset's order-aware path.
+struct ReferenceDataset {
+  std::vector<DarknetEvent> events;
+  std::uint64_t total_packets = 0;
+  std::size_t unique_sources = 0;
+  std::int64_t first_day = 0;
+  std::int64_t last_day = -1;
+
+  explicit ReferenceDataset(std::vector<DarknetEvent> input)
+      : events(std::move(input)) {
+    std::sort(events.begin(), events.end(),
+              [](const DarknetEvent& a, const DarknetEvent& b) {
+                if (a.start != b.start) return a.start < b.start;
+                return a.key < b.key;
+              });
+    std::set<std::uint32_t> sources;
+    for (const DarknetEvent& e : events) {
+      total_packets += e.packets;
+      sources.insert(e.key.src.value());
+      last_day = std::max(last_day, e.day());
+    }
+    unique_sources = sources.size();
+    if (!events.empty()) first_day = events.front().day();
+  }
+};
+
+void expect_matches_reference(std::vector<DarknetEvent> input,
+                              const char* shape) {
+  const ReferenceDataset ref(input);
+  const EventDataset dataset(std::move(input), 4096);
+  EXPECT_EQ(dataset.events(), ref.events) << shape;
+  EXPECT_EQ(dataset.total_packets(), ref.total_packets) << shape;
+  EXPECT_EQ(dataset.unique_sources(), ref.unique_sources) << shape;
+  EXPECT_EQ(dataset.first_day(), ref.first_day) << shape;
+  EXPECT_EQ(dataset.last_day(), ref.last_day) << shape;
+}
+
+/// `count` events with unique (start, key): starts come in runs of
+/// `tie` equal values spread over several days, and sources repeat
+/// across runs so the distinct-source count is below the event count.
+std::vector<DarknetEvent> order_events(std::uint32_t count, std::uint32_t tie,
+                                       std::mt19937_64& rng) {
+  std::vector<DarknetEvent> events;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    DarknetEvent e;
+    e.key.src = net::Ipv4Address(0xC6336400u + static_cast<std::uint32_t>(rng() % 97));
+    e.key.dst_port = static_cast<std::uint16_t>(i % tie);  // unique within a run
+    e.key.type = static_cast<pkt::TrafficType>(rng() % 4);
+    e.start = net::SimTime::at(net::Duration::seconds(7000 * (i / tie)));
+    e.end = e.start + net::Duration::seconds(static_cast<std::int64_t>(rng() % 600));
+    e.packets = 1 + rng() % 1000;
+    e.unique_dests = 1 + rng() % 100;
+    e.packets_by_tool[rng() % 4] = e.packets;
+    events.push_back(e);
+  }
+  return events;
+}
+
+TEST(EventDatasetOrder, EveryInputOrderBuildsTheReferenceDataset) {
+  std::mt19937_64 rng(20231024);
+  const std::vector<DarknetEvent> sorted =
+      ReferenceDataset(order_events(600, 5, rng)).events;
+  ASSERT_GT(sorted.back().day(), sorted.front().day());
+
+  std::vector<DarknetEvent> shuffled = sorted;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  expect_matches_reference(shuffled, "shuffled");
+
+  // The shape synthesize_events emits: start order, ties in any order.
+  std::vector<DarknetEvent> scrambled_ties = shuffled;
+  std::stable_sort(scrambled_ties.begin(), scrambled_ties.end(),
+                   [](const DarknetEvent& a, const DarknetEvent& b) {
+                     return a.start < b.start;
+                   });
+  ASSERT_NE(scrambled_ties, sorted);
+  expect_matches_reference(scrambled_ties, "start-sorted, scrambled ties");
+
+  expect_matches_reference(sorted, "total order");
+  expect_matches_reference({sorted.rbegin(), sorted.rend()}, "reversed");
+
+  // Start order broken by one late row: must take the full sort.
+  std::vector<DarknetEvent> one_late = sorted;
+  std::rotate(one_late.begin() + 100, one_late.begin() + 101, one_late.end());
+  expect_matches_reference(one_late, "one late row");
+
+  std::vector<DarknetEvent> one_start = order_events(300, 300, rng);
+  std::shuffle(one_start.begin(), one_start.end(), rng);
+  expect_matches_reference(one_start, "all starts equal");
+
+  expect_matches_reference({}, "empty");
+  expect_matches_reference({sorted[42]}, "single event");
 }
 
 // ------------------------------------------------------ zero-copy queries
