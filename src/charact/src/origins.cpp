@@ -3,14 +3,18 @@
 #include <algorithm>
 #include <vector>
 
+#include "charact_core.hpp"
 #include "orion/netbase/flat_map.hpp"
+#include "orion/netbase/parallel.hpp"
 
 namespace orion::charact {
 
-OriginTable origin_table(const telescope::EventDataset& dataset,
-                         const detect::IpSet& ah, const asdb::Registry& registry,
-                         const intel::AckedScannerList* acked,
-                         const asdb::ReverseDns* rdns, std::size_t top_n) {
+OriginTable detail::origin_table(const telescope::EventDataset& dataset,
+                                 const detect::IpSet& ah,
+                                 const asdb::Registry& registry,
+                                 const intel::AckedScannerList* acked,
+                                 const asdb::ReverseDns* rdns, std::size_t top_n,
+                                 std::size_t n_threads) {
   struct Agg {
     std::uint32_t asn = 0;  // 0 = unattributed
     std::uint64_t ips = 0;
@@ -42,11 +46,22 @@ OriginTable origin_table(const telescope::EventDataset& dataset,
     if (acked && rdns && acked->match(ip, *rdns)) ++agg.acked_ips;
   }
 
-  for (const telescope::DarknetEvent& e : dataset.events()) {
-    const std::uint32_t* index = agg_of_ip.find(e.key.src);
-    if (index == nullptr) continue;
-    aggs[*index].packets += e.packets;
-    table.total_packets += e.packets;
+  const std::vector<telescope::DarknetEvent>& events = dataset.events();
+  std::vector<std::vector<std::uint64_t>> packets(n_threads);
+  net::fork_join(n_threads, [&](std::size_t t) {
+    std::vector<std::uint64_t>& sums = packets[t];
+    sums.assign(aggs.size(), 0);
+    const std::size_t end = net::part_begin(events.size(), n_threads, t + 1);
+    for (std::size_t i = net::part_begin(events.size(), n_threads, t); i < end; ++i) {
+      const std::uint32_t* index = agg_of_ip.find(events[i].key.src);
+      if (index != nullptr) sums[*index] += events[i].packets;
+    }
+  });
+  for (const std::vector<std::uint64_t>& sums : packets) {
+    for (std::size_t i = 0; i < aggs.size(); ++i) {
+      aggs[i].packets += sums[i];
+      table.total_packets += sums[i];
+    }
   }
 
   const auto distinct = [](std::vector<std::uint32_t>& v) {
@@ -83,6 +98,14 @@ OriginTable origin_table(const telescope::EventDataset& dataset,
   }
   table.rows = std::move(rows);
   return table;
+}
+
+OriginTable origin_table(const telescope::EventDataset& dataset,
+                         const detect::IpSet& ah, const asdb::Registry& registry,
+                         const intel::AckedScannerList* acked,
+                         const asdb::ReverseDns* rdns, std::size_t top_n) {
+  return detail::origin_table(dataset, ah, registry, acked, rdns, top_n,
+                              net::scan_threads(dataset.event_count()));
 }
 
 }  // namespace orion::charact

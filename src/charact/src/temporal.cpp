@@ -4,7 +4,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "charact_core.hpp"
 #include "orion/netbase/flat_map.hpp"
+#include "orion/netbase/parallel.hpp"
 
 namespace orion::charact {
 
@@ -33,14 +35,20 @@ double TemporalTrends::ah_ip_share() const {
   return all == 0 ? 0.0 : static_cast<double>(ah) / static_cast<double>(all);
 }
 
-TemporalTrends temporal_trends(const telescope::EventDataset& dataset,
-                               const detect::DetectionResult& detection,
-                               detect::Definition definition,
-                               const std::vector<std::uint64_t>& noise_per_day) {
+TemporalTrends detail::temporal_trends(const telescope::EventDataset& dataset,
+                                       const detect::DetectionResult& detection,
+                                       detect::Definition definition,
+                                       const std::vector<std::uint64_t>& noise_per_day,
+                                       std::size_t n_threads) {
   const detect::DefinitionResult& def = detection.of(definition);
   const std::size_t days = def.daily.size();
   if (!noise_per_day.empty() && noise_per_day.size() != days) {
     throw std::invalid_argument("temporal_trends: noise series length mismatch");
+  }
+  if (dataset.event_count() > 0 && (dataset.first_day() < detection.first_day ||
+                                    dataset.last_day() > detection.last_day)) {
+    throw std::invalid_argument(
+        "temporal_trends: dataset days outside the detection window");
   }
 
   TemporalTrends trends;
@@ -63,35 +71,58 @@ TemporalTrends temporal_trends(const telescope::EventDataset& dataset,
   // source began on or before this event's start day s: the days from s
   // onward already counted for it are exactly [s, max_end]. Only the
   // days past max_end are new, and they go into a difference array.
+  // Thread t keeps the state of the sources that hash to t; each source's
+  // events still arrive in start order, so the per-thread series add up.
   struct Counted {  // day indices from first_day; -1 = none counted yet
     std::int32_t last_daily;  // last start day counted in all_daily
     std::int32_t max_end;     // last day counted in all_active
   };
-  net::FlatMap<net::Ipv4Address, Counted> counted;
-  counted.reserve(dataset.unique_sources());
-  std::vector<std::int64_t> active_delta(days + 1, 0);
-  for (const telescope::DarknetEvent& e : dataset.events()) {
-    const auto start = static_cast<std::int32_t>(e.day() - detection.first_day);
-    const auto last = static_cast<std::int32_t>(
-        std::min(e.end.day(), detection.last_day) - detection.first_day);
-    Counted* c = counted.try_emplace(e.key.src, Counted{-1, -1}).first;
-    if (c->last_daily != start) {
-      c->last_daily = start;
-      ++trends.all_daily[static_cast<std::size_t>(start)];
+  struct Part {
+    std::vector<std::uint64_t> all_daily;
+    std::vector<std::int64_t> active_delta;
+  };
+  std::vector<Part> parts(n_threads);
+  net::fork_join(n_threads, [&](std::size_t t) {
+    Part& part = parts[t];
+    part.all_daily.assign(days, 0);
+    part.active_delta.assign(days + 1, 0);
+    net::FlatMap<net::Ipv4Address, Counted> counted;
+    counted.reserve(dataset.unique_sources() / n_threads);
+    for (const telescope::DarknetEvent& e : dataset.events()) {
+      if (net::key_part(e.key.src.value(), n_threads) != t) continue;
+      const auto start = static_cast<std::int32_t>(e.day() - detection.first_day);
+      const auto last = static_cast<std::int32_t>(
+          std::min(e.end.day(), detection.last_day) - detection.first_day);
+      Counted* c = counted.try_emplace(e.key.src, Counted{-1, -1}).first;
+      if (c->last_daily != start) {
+        c->last_daily = start;
+        ++part.all_daily[static_cast<std::size_t>(start)];
+      }
+      const std::int32_t from = std::max(start, c->max_end + 1);
+      if (from <= last) {
+        ++part.active_delta[static_cast<std::size_t>(from)];
+        --part.active_delta[static_cast<std::size_t>(last + 1)];
+        c->max_end = last;
+      }
     }
-    const std::int32_t from = std::max(start, c->max_end + 1);
-    if (from <= last) {
-      ++active_delta[static_cast<std::size_t>(from)];
-      --active_delta[static_cast<std::size_t>(last + 1)];
-      c->max_end = last;
-    }
-  }
+  });
   std::int64_t active = 0;
   for (std::size_t i = 0; i < days; ++i) {
-    active += active_delta[i];
+    for (const Part& part : parts) {
+      trends.all_daily[i] += part.all_daily[i];
+      active += part.active_delta[i];
+    }
     trends.all_active[i] = static_cast<std::uint64_t>(active);
   }
   return trends;
+}
+
+TemporalTrends temporal_trends(const telescope::EventDataset& dataset,
+                               const detect::DetectionResult& detection,
+                               detect::Definition definition,
+                               const std::vector<std::uint64_t>& noise_per_day) {
+  return detail::temporal_trends(dataset, detection, definition, noise_per_day,
+                                 net::scan_threads(dataset.event_count()));
 }
 
 }  // namespace orion::charact

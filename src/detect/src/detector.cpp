@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "detector_core.hpp"
+#include "sources.hpp"
 
 namespace orion::detect {
 
@@ -14,20 +15,6 @@ double mean_size(const std::vector<std::vector<net::Ipv4Address>>& per_day) {
   for (const auto& day : per_day) total += day.size();
   return static_cast<double>(total) / static_cast<double>(per_day.size());
 }
-
-/// Adapts EventDataset to detector_core's Source interface.
-struct DatasetSource {
-  const telescope::EventDataset& dataset;
-
-  std::uint64_t darknet_size() const { return dataset.darknet_size(); }
-  std::uint64_t event_count() const { return dataset.event_count(); }
-  std::int64_t first_day() const { return dataset.first_day(); }
-  std::int64_t last_day() const { return dataset.last_day(); }
-  template <typename Fn>
-  void for_each_event(Fn&& fn) const {
-    for (const telescope::DarknetEvent& e : dataset.events()) fn(e);
-  }
-};
 
 }  // namespace
 
@@ -47,7 +34,12 @@ AggressiveScannerDetector::AggressiveScannerDetector(DetectorConfig config)
 
 DetectionResult AggressiveScannerDetector::detect(
     const telescope::EventDataset& dataset) const {
-  return detail::detect_core(config_, DatasetSource{dataset});
+  return detail::detect_core(config_, detail::DatasetSource{dataset});
+}
+
+DetectionResult AggressiveScannerDetector::detect(
+    const store::MappedEventStore& store) const {
+  return detail::detect_core(config_, detail::StoreSource{store});
 }
 
 }  // namespace orion::detect

@@ -204,10 +204,10 @@ class FlowImpactAnalyzer {
   explicit FlowImpactAnalyzer(const store::MappedFlowStore* store);
 
   /// Builds every (router, day) index not yet cached, `n_threads`-wide
-  /// (0: hardware concurrency). Results are identical to the lazy path
-  /// for every thread count: each cell's index is a pure function of its
-  /// rows, and the merge into the cache happens in cell order on the
-  /// calling thread.
+  /// (0: net::available_threads(), so taskset and cpusets bound it).
+  /// Results are identical to the lazy path for every thread count: each
+  /// cell's index is a pure function of its rows, and the merge into the
+  /// cache happens in cell order on the calling thread.
   void prebuild_indexes(std::size_t n_threads = 0) const;
 
   /// THE query API: every Section 4 number for one (router, day, sources)

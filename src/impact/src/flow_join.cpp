@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 
 #include "orion/flowsim/netflow_bridge.hpp"
+#include "orion/netbase/parallel.hpp"
 #include "orion/store/mapped.hpp"
 #include "orion/store/mapped_flow.hpp"
 
@@ -290,35 +290,21 @@ void FlowImpactAnalyzer::prebuild_indexes(std::size_t n_threads) const {
     if (index_cache_.find(key) == index_cache_.end()) pending.push_back(key);
   }
   if (pending.empty()) return;
-  if (n_threads == 0) {
-    n_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  if (n_threads == 0) n_threads = net::available_threads();
   n_threads = std::min(n_threads, pending.size());
 
   // Workers fill disjoint slots of `built` and touch nothing shared;
   // the cache merge below runs on this thread, in cell order, so the
-  // final cache state is the same for every n_threads (including the
-  // n_threads == 1 fast path).
+  // final cache state is the same for every n_threads.
   std::vector<FlowSourceIndex> built(pending.size());
-  if (n_threads <= 1) {
-    for (std::size_t i = 0; i < pending.size(); ++i) {
+  const std::size_t per = (pending.size() + n_threads - 1) / n_threads;
+  net::fork_join(n_threads, [&](std::size_t t) {
+    const std::size_t lo = std::min(pending.size(), t * per);
+    const std::size_t hi = std::min(pending.size(), lo + per);
+    for (std::size_t i = lo; i < hi; ++i) {
       built[i] = build_index(pending[i].router, pending[i].day);
     }
-  } else {
-    const std::size_t per = (pending.size() + n_threads - 1) / n_threads;
-    std::vector<std::thread> threads;
-    threads.reserve(n_threads);
-    for (std::size_t t = 0; t < n_threads; ++t) {
-      const std::size_t lo = std::min(pending.size(), t * per);
-      const std::size_t hi = std::min(pending.size(), lo + per);
-      threads.emplace_back([this, &pending, &built, lo, hi] {
-        for (std::size_t i = lo; i < hi; ++i) {
-          built[i] = build_index(pending[i].router, pending[i].day);
-        }
-      });
-    }
-    for (std::thread& th : threads) th.join();
-  }
+  });
   for (std::size_t i = 0; i < pending.size(); ++i) {
     index_cache_.emplace(pending[i], std::move(built[i]));
   }

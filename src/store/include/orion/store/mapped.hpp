@@ -15,10 +15,10 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "orion/netbase/parallel.hpp"
 #include "orion/store/ode2.hpp"
 #include "orion/telescope/event.hpp"
 
@@ -137,9 +137,22 @@ class MappedEventStore {
   /// Calls fn(const EventRow&) for every event in row (= dataset) order.
   template <typename Fn>
   void for_each_event(Fn&& fn) const {
-    for (std::size_t k = 0; k < blocks_.size(); ++k) {
-      const BlockView view = block(k);
-      for (std::size_t i = 0; i < view.rows(); ++i) fn(row_of(view, i));
+    for_each_event_in_rows(0, event_count_, std::forward<Fn>(fn));
+  }
+
+  /// Calls fn(const EventRow&) for every event in global rows [lo, hi),
+  /// in row order, touching only the blocks that hold them.
+  template <typename Fn>
+  void for_each_event_in_rows(std::uint64_t lo, std::uint64_t hi, Fn&& fn) const {
+    if (lo >= hi) return;
+    const std::uint64_t b = block_events_;
+    for (std::uint64_t k = lo / b; k * b < hi; ++k) {
+      const BlockView view = block(static_cast<std::size_t>(k));
+      const std::uint64_t from = lo > k * b ? lo - k * b : 0;
+      const std::uint64_t to = std::min<std::uint64_t>(view.rows(), hi - k * b);
+      for (std::uint64_t i = from; i < to; ++i) {
+        fn(row_of(view, static_cast<std::size_t>(i)));
+      }
     }
   }
 
@@ -148,16 +161,7 @@ class MappedEventStore {
   template <typename Fn>
   void for_each_event_on_day(std::int64_t day, Fn&& fn) const {
     const auto [begin, end] = day_range(day);
-    if (begin >= end) return;
-    const std::uint64_t b = block_events_;
-    for (std::uint64_t k = begin / b; k * b < end; ++k) {
-      const BlockView view = block(static_cast<std::size_t>(k));
-      const std::uint64_t lo = begin > k * b ? begin - k * b : 0;
-      const std::uint64_t hi = std::min<std::uint64_t>(view.rows(), end - k * b);
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        fn(row_of(view, static_cast<std::size_t>(i)));
-      }
-    }
+    for_each_event_in_rows(begin, end, std::forward<Fn>(fn));
   }
 
   /// Chunked parallel scan: blocks are split into contiguous ranges, one
@@ -167,33 +171,20 @@ class MappedEventStore {
   /// function of (block_count, n_threads) and the merge is ordered, the
   /// result is identical for every thread count whenever merge is
   /// associative — the same ordered-merge argument as the PR 2 pipeline.
+  /// n_threads 0 means net::available_threads().
   template <typename State, typename PerBlock, typename Merge>
   State parallel_scan(std::size_t n_threads, PerBlock per_block,
                       Merge merge) const {
     const std::size_t nb = blocks_.size();
-    if (n_threads == 0) {
-      n_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    }
+    if (n_threads == 0) n_threads = net::available_threads();
     n_threads = std::min(n_threads, std::max<std::size_t>(nb, 1));
-    if (n_threads <= 1) {
-      State state{};
-      for (std::size_t k = 0; k < nb; ++k) per_block(state, block(k));
-      return state;
-    }
     std::vector<State> states(n_threads);
     const std::size_t per = (nb + n_threads - 1) / n_threads;
-    {
-      std::vector<std::thread> threads;
-      threads.reserve(n_threads);
-      for (std::size_t t = 0; t < n_threads; ++t) {
-        const std::size_t lo = std::min(nb, t * per);
-        const std::size_t hi = std::min(nb, lo + per);
-        threads.emplace_back([this, &states, &per_block, t, lo, hi] {
-          for (std::size_t k = lo; k < hi; ++k) per_block(states[t], block(k));
-        });
-      }
-      for (std::thread& th : threads) th.join();
-    }
+    net::fork_join(n_threads, [&](std::size_t t) {
+      const std::size_t lo = std::min(nb, t * per);
+      const std::size_t hi = std::min(nb, lo + per);
+      for (std::size_t k = lo; k < hi; ++k) per_block(states[t], block(k));
+    });
     State out = std::move(states[0]);
     for (std::size_t t = 1; t < n_threads; ++t) {
       merge(out, std::move(states[t]));

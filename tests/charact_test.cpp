@@ -5,6 +5,7 @@
 #include <set>
 #include <vector>
 
+#include "charact_core.hpp"
 #include "orion/charact/origins.hpp"
 #include "orion/charact/portfig.hpp"
 #include "orion/charact/temporal.hpp"
@@ -128,6 +129,29 @@ TEST(Temporal, MismatchedNoiseThrows) {
       detect::AggressiveScannerDetector().detect(dataset);
   EXPECT_NO_THROW(
       temporal_trends(dataset, detection, detect::Definition::AddressDispersion, {}));
+}
+
+TEST(Temporal, DatasetOutsideDetectionWindowThrows) {
+  const auto event = [](std::int64_t day) {
+    telescope::DarknetEvent e;
+    e.key = {net::Ipv4Address(0x0B000001u), 23, pkt::TrafficType::TcpSyn};
+    e.start = net::SimTime::at(net::Duration::days(day) + net::Duration::hours(3));
+    e.end = e.start + net::Duration::hours(1);
+    e.packets = 10;
+    return e;
+  };
+  const telescope::EventDataset window({event(2), event(3), event(4)}, 100);
+  const detect::DetectionResult detection =
+      detect::AggressiveScannerDetector().detect(window);
+  const auto trends = [&](const telescope::EventDataset& dataset) {
+    return temporal_trends(dataset, detection, detect::Definition::AddressDispersion, {});
+  };
+  EXPECT_NO_THROW(trends(window));
+  EXPECT_NO_THROW(trends(telescope::EventDataset({event(3)}, 100)));
+  EXPECT_THROW(trends(telescope::EventDataset({event(1), event(3)}, 100)),
+               std::invalid_argument);
+  EXPECT_THROW(trends(telescope::EventDataset({event(3), event(5)}, 100)),
+               std::invalid_argument);
 }
 
 // ----------------------------------------------------------------- top ports
@@ -297,7 +321,8 @@ void expect_same_rows(const std::vector<PortRow>& got, const std::vector<PortRow
   }
 }
 
-void expect_origin_table_matches_oracle(const telescope::EventDataset& dataset,
+void expect_origin_table_matches_oracle(const OriginTable& table,
+                                        const telescope::EventDataset& dataset,
                                         const detect::IpSet& ah,
                                         const asdb::Registry& registry,
                                         const intel::AckedScannerList* acked,
@@ -332,7 +357,6 @@ void expect_origin_table_matches_oracle(const telescope::EventDataset& dataset,
   });
   if (order.size() > top_n) order.resize(top_n);
 
-  const OriginTable table = origin_table(dataset, ah, registry, acked, rdns, top_n);
   EXPECT_EQ(table.total_ips, ah.size());
   EXPECT_EQ(table.total_slash24s, all_slash24s.size());
   EXPECT_EQ(table.total_packets, total_packets);
@@ -435,7 +459,27 @@ TEST(CharactOracle, RandomDatasetMatchesNaiveTables) {
     for (const std::size_t top_n : {std::size_t{3}, std::size_t{1000}}) {
       SCOPED_TRACE(top_n);
       expect_same_rows(top_ports(dataset, ah, top_n), top_ports_oracle(dataset, ah_set, top_n));
-      expect_origin_table_matches_oracle(dataset, ah, registry, nullptr, nullptr, top_n);
+      expect_origin_table_matches_oracle(
+          origin_table(dataset, ah, registry, nullptr, nullptr, top_n), dataset, ah,
+          registry, nullptr, nullptr, top_n);
+    }
+
+    // The same tables at explicit thread counts; at 8 there are fewer
+    // events per chunk and sources per hash bucket than threads.
+    for (const std::size_t n_threads : {1u, 2u, 3u, 8u}) {
+      SCOPED_TRACE(n_threads);
+      const TemporalTrends split = detail::temporal_trends(
+          dataset, detection, detect::Definition::AddressDispersion, {}, n_threads);
+      EXPECT_EQ(split.all_daily, want.all_daily);
+      EXPECT_EQ(split.all_active, want.all_active);
+      for (const std::size_t top_n : {std::size_t{3}, std::size_t{1000}}) {
+        SCOPED_TRACE(top_n);
+        expect_same_rows(detail::top_ports(dataset, ah, top_n, n_threads),
+                         top_ports_oracle(dataset, ah_set, top_n));
+        expect_origin_table_matches_oracle(
+            detail::origin_table(dataset, ah, registry, nullptr, nullptr, top_n, n_threads),
+            dataset, ah, registry, nullptr, nullptr, top_n);
+      }
     }
   }
 }
@@ -454,8 +498,9 @@ TEST_F(CharactTest, ScenarioTablesMatchNaiveOracle) {
     EXPECT_EQ(trends.all_active, want.all_active);
     expect_same_rows(top_ports(w.dataset, ah, 25),
                      top_ports_oracle(w.dataset, {ah.begin(), ah.end()}, 25));
-    expect_origin_table_matches_oracle(w.dataset, ah, w.scenario.registry(), &acked,
-                                       &rdns, 10);
+    expect_origin_table_matches_oracle(
+        origin_table(w.dataset, ah, w.scenario.registry(), &acked, &rdns, 10), w.dataset,
+        ah, w.scenario.registry(), &acked, &rdns, 10);
   }
 }
 

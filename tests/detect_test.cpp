@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <array>
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "detector_core.hpp"
@@ -13,6 +19,9 @@
 #include "orion/detect/lists.hpp"
 #include "orion/detect/port_set.hpp"
 #include "orion/netbase/rng.hpp"
+#include "orion/store/mapped.hpp"
+#include "orion/store/ode2.hpp"
+#include "sources.hpp"
 
 namespace orion::detect {
 namespace {
@@ -365,9 +374,14 @@ struct VectorSource {
   std::uint64_t event_count() const { return events.size(); }
   std::int64_t first_day() const { return 0; }
   std::int64_t last_day() const { return 3; }
+  std::uint64_t day_begin(std::int64_t day) const {
+    std::uint64_t row = 0;
+    while (row < events.size() && events[row].day() < day) ++row;
+    return row;
+  }
   template <typename Fn>
-  void for_each_event(Fn&& fn) const {
-    for (const telescope::DarknetEvent& e : events) fn(e);
+  void for_each_event_in_rows(std::uint64_t lo, std::uint64_t hi, Fn&& fn) const {
+    for (std::uint64_t i = lo; i < hi; ++i) fn(events[i]);
   }
 };
 
@@ -383,6 +397,79 @@ TEST(Detector, DayRegressionBreaksTheSourceContract) {
                    make_event("203.0.113.2", 23, 0, 5, 5),
                    make_event("203.0.113.1", 80, 3, 5, 5)};
   EXPECT_NO_THROW(detail::detect_core(test_config(), source));
+}
+
+// ------------------------------------------------- thread-count invariance
+
+void expect_same_detection(const DetectionResult& got, const DetectionResult& want) {
+  EXPECT_EQ(got.first_day, want.first_day);
+  EXPECT_EQ(got.last_day, want.last_day);
+  EXPECT_EQ(got.total_events, want.total_events);
+  EXPECT_EQ(got.darknet_size, want.darknet_size);
+  EXPECT_EQ(got.total_event_packets_per_day, want.total_event_packets_per_day);
+  for (std::size_t k = 0; k < 3; ++k) {
+    SCOPED_TRACE(k);
+    const DefinitionResult& x = got.by_definition[k];
+    const DefinitionResult& y = want.by_definition[k];
+    // Iteration order too, not just membership.
+    EXPECT_EQ(std::vector(x.ips.begin(), x.ips.end()),
+              std::vector(y.ips.begin(), y.ips.end()));
+    EXPECT_EQ(x.threshold, y.threshold);
+    EXPECT_EQ(x.qualifying_events, y.qualifying_events);
+    EXPECT_EQ(x.daily, y.daily);
+    EXPECT_EQ(x.active, y.active);
+    EXPECT_EQ(x.daily_ah_packets, y.daily_ah_packets);
+  }
+}
+
+/// The events of `dataset` whose start day passes `keep`.
+template <typename Keep>
+telescope::EventDataset only_days(const telescope::EventDataset& dataset, Keep keep) {
+  std::vector<telescope::DarknetEvent> events;
+  for (const telescope::DarknetEvent& e : dataset.events()) {
+    if (keep(e.day())) events.push_back(e);
+  }
+  return telescope::EventDataset(std::move(events), dataset.darknet_size());
+}
+
+TEST(Detector, ThreadCountDoesNotChangeTheResult) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("orion_detect_test_" + std::to_string(::getpid()) + ".ode2"))
+          .string();
+  for (const std::uint64_t seed : {3u, 19u, 2024u}) {
+    SCOPED_TRACE(seed);
+    // Multi-day events (up to 80 h) cross every chunk edge; the gapped
+    // dataset has empty days inside its window; the single-day one gets
+    // more threads than days.
+    const telescope::EventDataset full = random_dataset(seed);
+    const std::pair<const char*, telescope::EventDataset> cases[] = {
+        {"multi-day", full},
+        {"empty days", only_days(full, [](std::int64_t d) { return d != 1 && d != 2 && d != 6; })},
+        {"single day", only_days(full, [](std::int64_t d) { return d == 4; })},
+    };
+    for (const auto& [name, dataset] : cases) {
+      SCOPED_TRACE(name);
+      ASSERT_GT(dataset.event_count(), 0u);
+      const DetectionResult want = AggressiveScannerDetector(test_config()).detect(dataset);
+      {
+        // 7-row blocks, so chunk row ranges start and end mid-block.
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        store::write_events_ode2(dataset, out, 7);
+      }
+      const store::MappedEventStore store(path);
+      for (const std::size_t n_threads : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE(n_threads);
+        expect_same_detection(
+            detail::detect_core(test_config(), detail::DatasetSource{dataset}, n_threads),
+            want);
+        expect_same_detection(
+            detail::detect_core(test_config(), detail::StoreSource{store}, n_threads),
+            want);
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // -------------------------------------------------------------------- lists
