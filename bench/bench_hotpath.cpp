@@ -7,15 +7,14 @@
 // path is checked byte-identical to the scalar path — same event dataset
 // AND same checkpoint bytes (compared via CRC-32 of the serialized
 // snapshot) — for every benchmarked batch size plus a ragged
-// random-size chunking, repeated at every SIMD tier the machine can run
-// (DESIGN.md §14); a mismatch fails the run.
+// random-size chunking; a mismatch fails the run.
 //
 //   $ ./bench_hotpath [--days N] [--reps R] [--json PATH] [--smoke]
 //
 // --json writes the machine-readable BENCH_hotpath.json recording the
-// acceptance number (>= 2x pps at the best batch size; the per-packet
-// baseline is pinned to the scalar tier) alongside checksums_ok,
-// hardware_concurrency, and the detected SIMD tier. --smoke runs the
+// acceptance number (>= 2x pps at the best batch size) alongside
+// checksums_ok, hardware_concurrency, and the active SIMD tier (which
+// only the checkpoint CRC consults). --smoke runs the
 // equivalence checks only (fast, used by the ctest "hotpath" label).
 #include <algorithm>
 #include <chrono>
@@ -121,10 +120,7 @@ int main(int argc, char** argv) {
       "Batched SoA hot path (packets/sec, scalar vs observe_batch)",
       "Acceptance: >= 2x single-core pps at the best batch size, with the "
       "batch path byte-identical to scalar (same events, same checkpoint "
-      "bytes) at every batch size and every SIMD tier. (The bar was 3x "
-      "against the pre-SIMD per-packet path; the tag-probed live table "
-      "sped that baseline up ~33%, so the ratio rebased while absolute "
-      "throughput of both paths improved.)");
+      "bytes) at every batch size.");
 
   const scangen::Scenario scenario{scangen::tiny()};
   std::vector<pkt::Packet> packets;
@@ -142,37 +138,31 @@ int main(int argc, char** argv) {
             << " days\n\n";
 
   // --- Equivalence gate (always runs; the timing numbers are meaningless
-  // if the two paths do not produce identical state). The reference is
-  // the per-packet path pinned to the scalar SIMD tier; every available
-  // SIMD tier must then reproduce it byte-for-byte through the batch
-  // engine (DESIGN.md §14 contract on top of the §11.4 one).
-  const auto tiers = net::simd::available_levels();
-  const auto detected = net::simd::active_level();
-  net::simd::set_level(net::simd::Level::Scalar);
+  // if the two paths do not produce identical state).
   const CaptureResult scalar_ref =
       run_capture(scenario, config, [&](telescope::TelescopeCapture& cap) {
         for (const pkt::Packet& p : packets) cap.observe(p);
       });
   const std::vector<std::size_t> batch_sizes = {64, 256, 1024};
   bool checksums_ok = true;
-  for (const net::simd::Level tier : tiers) {
-    net::simd::set_level(tier);
-    for (const std::size_t size : batch_sizes) {
-      const auto batches = chunk(packets, size);
-      const CaptureResult r =
+  const auto check = [&](const std::string& label, const CaptureResult& r) {
+    const bool ok = r.checkpoint_crc == scalar_ref.checkpoint_crc &&
+                    r.events == scalar_ref.events;
+    checksums_ok = checksums_ok && ok;
+    std::cout << "equivalence @ " << label << ": " << (ok ? "ok" : "MISMATCH")
+              << "\n";
+  };
+  for (const std::size_t size : batch_sizes) {
+    const auto batches = chunk(packets, size);
+    check("batch " + std::to_string(size),
           run_capture(scenario, config, [&](telescope::TelescopeCapture& cap) {
             for (const pkt::PacketBatch& b : batches) cap.observe_batch(b);
-          });
-      const bool ok = r.checkpoint_crc == scalar_ref.checkpoint_crc &&
-                      r.events == scalar_ref.events;
-      checksums_ok = checksums_ok && ok;
-      std::cout << "equivalence @ " << net::simd::to_string(tier) << " batch "
-                << size << ": " << (ok ? "ok" : "MISMATCH") << "\n";
-    }
-    {
-      // Ragged chunking: random sizes in [1, 512], including size-1 batches.
-      std::mt19937 rng(99);
-      const CaptureResult r =
+          }));
+  }
+  {
+    // Ragged chunking: random sizes in [1, 512], including size-1 batches.
+    std::mt19937 rng(99);
+    check("ragged random chunking",
           run_capture(scenario, config, [&](telescope::TelescopeCapture& cap) {
             pkt::PacketBatch b(512);
             std::size_t i = 0;
@@ -184,19 +174,10 @@ int main(int argc, char** argv) {
               }
               cap.observe_batch(b);
             }
-          });
-      const bool ok = r.checkpoint_crc == scalar_ref.checkpoint_crc &&
-                      r.events == scalar_ref.events;
-      checksums_ok = checksums_ok && ok;
-      std::cout << "equivalence @ " << net::simd::to_string(tier)
-                << " ragged random chunking: " << (ok ? "ok" : "MISMATCH")
-                << "\n";
-    }
+          }));
   }
-  net::simd::set_level(detected);
-  std::cout << (checksums_ok
-                    ? "\nbatch path byte-identical to scalar at every tier\n\n"
-                    : "\nBATCH PATH DIVERGED FROM SCALAR\n\n");
+  std::cout << (checksums_ok ? "\nbatch path byte-identical to scalar\n\n"
+                             : "\nBATCH PATH DIVERGED FROM SCALAR\n\n");
   if (smoke) {
     std::cout << (checksums_ok ? "SMOKE OK\n" : "SMOKE FAILED\n");
     return checksums_ok ? 0 : 1;
@@ -206,16 +187,13 @@ int main(int argc, char** argv) {
   // paths time pure aggregation work on one core.
   struct Run {
     std::string config;
-    std::string tier;
     double seconds = 0;
     double pps = 0;
   };
   std::vector<Run> runs;
   {
-    net::simd::set_level(net::simd::Level::Scalar);
     Run run;
     run.config = "scalar";
-    run.tier = net::simd::to_string(net::simd::Level::Scalar);
     run.seconds = best_seconds(reps, [&] {
       telescope::TelescopeCapture cap(scenario.darknet(), config);
       for (const pkt::Packet& p : packets) cap.observe(p);
@@ -223,23 +201,17 @@ int main(int argc, char** argv) {
     run.pps = static_cast<double>(packets.size()) / run.seconds;
     runs.push_back(run);
   }
-  for (const net::simd::Level tier : tiers) {
-    net::simd::set_level(tier);
-    for (const std::size_t size : batch_sizes) {
-      const auto batches = chunk(packets, size);
-      Run run;
-      run.config =
-          "batch" + std::to_string(size) + "@" + net::simd::to_string(tier);
-      run.tier = net::simd::to_string(tier);
-      run.seconds = best_seconds(reps, [&] {
-        telescope::TelescopeCapture cap(scenario.darknet(), config);
-        for (const pkt::PacketBatch& b : batches) cap.observe_batch(b);
-      });
-      run.pps = static_cast<double>(packets.size()) / run.seconds;
-      runs.push_back(run);
-    }
+  for (const std::size_t size : batch_sizes) {
+    const auto batches = chunk(packets, size);
+    Run run;
+    run.config = "batch" + std::to_string(size);
+    run.seconds = best_seconds(reps, [&] {
+      telescope::TelescopeCapture cap(scenario.darknet(), config);
+      for (const pkt::PacketBatch& b : batches) cap.observe_batch(b);
+    });
+    run.pps = static_cast<double>(packets.size()) / run.seconds;
+    runs.push_back(run);
   }
-  net::simd::set_level(detected);
 
   const double scalar_pps = runs[0].pps;
   double best_speedup = 0;
@@ -274,19 +246,14 @@ int main(int argc, char** argv) {
         << "  \"reps\": " << reps << ",\n"
         << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
         << ",\n"
-        << "  \"simd_tier\": \"" << net::simd::to_string(detected) << "\",\n"
-        << "  \"simd_tiers_checked\": [";
-    for (std::size_t i = 0; i < tiers.size(); ++i) {
-      out << "\"" << net::simd::to_string(tiers[i]) << "\""
-          << (i + 1 < tiers.size() ? ", " : "");
-    }
-    out << "],\n"
+        << "  \"simd_tier\": \""
+        << net::simd::to_string(net::simd::active_level()) << "\",\n"
         << "  \"checksums_ok\": " << (checksums_ok ? "true" : "false") << ",\n"
         << "  \"checkpoint_crc32\": " << scalar_ref.checkpoint_crc << ",\n"
         << "  \"runs\": [\n";
     for (std::size_t i = 0; i < runs.size(); ++i) {
-      out << "    {\"config\": \"" << runs[i].config << "\", \"tier\": \""
-          << runs[i].tier << "\", \"seconds\": " << runs[i].seconds
+      out << "    {\"config\": \"" << runs[i].config
+          << "\", \"seconds\": " << runs[i].seconds
           << ", \"pps\": " << runs[i].pps
           << ", \"speedup_vs_scalar\": " << runs[i].pps / scalar_pps << "}"
           << (i + 1 < runs.size() ? "," : "") << "\n";

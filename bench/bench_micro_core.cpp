@@ -12,7 +12,6 @@
 #include "orion/netbase/checksum.hpp"
 #include "orion/netbase/crc32.hpp"
 #include "orion/netbase/flat_map.hpp"
-#include "orion/netbase/simd.hpp"
 #include "orion/packet/batch.hpp"
 #include "orion/packet/classify.hpp"
 #include "orion/flowsim/sampler.hpp"
@@ -173,35 +172,16 @@ void BM_ChecksumScalar(benchmark::State& state) {
 BENCHMARK(BM_ChecksumScalar)->Unit(benchmark::kMicrosecond);
 
 void BM_ChecksumFolded(benchmark::State& state) {
-  // Pin the scalar tier so of() runs the 8-bytes-per-step fold rather
-  // than the vectorized sum (benchmarked separately below).
-  const auto saved = net::simd::active_level();
-  net::simd::set_level(net::simd::Level::Scalar);
   const auto data = checksum_payload();
   for (auto _ : state) {
     benchmark::DoNotOptimize(net::InternetChecksum::of(data));
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(data.size()));
-  net::simd::set_level(saved);
 }
 BENCHMARK(BM_ChecksumFolded)->Unit(benchmark::kMicrosecond);
 
-void BM_ChecksumSimd(benchmark::State& state) {
-  if (net::simd::detected_level() == net::simd::Level::Scalar) {
-    state.SkipWithError("no SIMD tier on this machine");
-    return;
-  }
-  const auto data = checksum_payload();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::InternetChecksum::of(data));
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(data.size()));
-}
-BENCHMARK(BM_ChecksumSimd)->Unit(benchmark::kMicrosecond);
-
-// --- SIMD kernels (DESIGN.md §14) -------------------------------------------
+// --- packet-path loops -------------------------------------------------------
 
 pkt::PacketBatch classify_input() {
   pkt::PacketBatch batch(1 << 12);
@@ -209,26 +189,7 @@ pkt::PacketBatch classify_input() {
   return batch;
 }
 
-void BM_ClassifyBatchScalar(benchmark::State& state) {
-  const auto batch = classify_input();
-  std::vector<std::uint8_t> type(batch.size()), tool(batch.size());
-  for (auto _ : state) {
-    pkt::classify_traffic_batch_scalar(
-        batch.proto_col().data(), batch.tcp_flags_col().data(),
-        batch.icmp_type_col().data(), batch.size(), type.data());
-    pkt::classify_tool_batch_scalar(
-        batch.proto_col().data(), batch.dst_col().data(),
-        batch.dst_port_col().data(), batch.ip_id_col().data(),
-        batch.tcp_seq_col().data(), batch.size(), tool.data());
-    benchmark::DoNotOptimize(type.data());
-    benchmark::DoNotOptimize(tool.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch.size()));
-}
-BENCHMARK(BM_ClassifyBatchScalar);
-
-void BM_ClassifyBatchSimd(benchmark::State& state) {
+void BM_ClassifyBatch(benchmark::State& state) {
   const auto batch = classify_input();
   std::vector<std::uint8_t> type(batch.size()), tool(batch.size());
   for (auto _ : state) {
@@ -236,35 +197,31 @@ void BM_ClassifyBatchSimd(benchmark::State& state) {
     pkt::classify_tool_batch(batch, tool.data());
     benchmark::DoNotOptimize(type.data());
     benchmark::DoNotOptimize(tool.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(batch.size()));
 }
-BENCHMARK(BM_ClassifyBatchSimd);
+BENCHMARK(BM_ClassifyBatch);
 
-/// Tag-probed FlatMap (16-way group probe) vs the scalar linear probe on
-/// the same table: 64K u64 keys, then an even hit/miss lookup mix.
+/// FlatMap linear probe: 64K u64 keys, then an even hit/miss lookup mix.
 void BM_FlatMapProbe(benchmark::State& state) {
   net::FlatMap<std::uint64_t, std::uint64_t> map;
   net::Rng rng(22);
   std::vector<std::uint64_t> keys(1 << 16);
   for (auto& k : keys) k = rng.next();
   for (std::uint64_t k : keys) map.try_emplace(k, k);
-  const auto saved = net::simd::active_level();
-  net::simd::set_level(state.range(0) != 0 ? net::simd::detected_level()
-                                           : net::simd::Level::Scalar);
   std::uint64_t sum = 0, probe = 0;
   for (auto _ : state) {
-    const std::uint64_t key = keys[probe++ & (keys.size() - 1)] ^ (probe & 1);
+    const std::uint64_t key = keys[probe & (keys.size() - 1)] ^ (probe & 1);
+    ++probe;
     const std::uint64_t* v = map.find(key);
     sum += v ? *v : 0;
   }
   benchmark::DoNotOptimize(sum);
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(state.range(0) != 0 ? "group-probe" : "linear-probe");
-  net::simd::set_level(saved);
 }
-BENCHMARK(BM_FlatMapProbe)->Arg(0)->Arg(1);
+BENCHMARK(BM_FlatMapProbe);
 
 // --- cardinality sketches ----------------------------------------------------
 

@@ -140,7 +140,7 @@ constexpr Command kCommands[] = {
      "              [--router N] [--day N] [--sources IP,IP,...] [--tenant NAME]",
      "query a running orion_serve daemon over the OQP1 protocol",
      cmd_serve_query},
-    {"cpu", "", "print the detected/active SIMD tier and CPU features",
+    {"cpu", "", "print the detected/active SIMD tier (CRC-32 path) and CPU features",
      cmd_cpu},
     {"help", "", "list every command with a one-line description", cmd_help},
 };
@@ -837,7 +837,8 @@ int cmd_cpu(const std::map<std::string, std::string>& flags) {
   table.add_row({"hardware threads",
                  std::to_string(std::thread::hardware_concurrency())});
   std::cout << table.to_ascii();
-  std::cout << "active tier honors ORION_SIMD_LEVEL"
+  std::cout << "active tier picks the CRC-32 path only (every packet-path"
+               " loop is portable); it honors ORION_SIMD_LEVEL"
                " (scalar|sse42|avx2|neon; clamped to detected)\n";
   return 0;
 }

@@ -1,7 +1,7 @@
 // Cache-line-aligned allocation for SoA batch columns.
 //
-// The SIMD kernels (DESIGN.md §14) stream 16/32-byte vectors down the
-// PacketBatch / FlowBatch columns; starting every column on a 64-byte
+// Batch loops stream down the PacketBatch / FlowBatch columns, and the
+// compiler may vectorize them; starting every column on a 64-byte
 // boundary keeps those loads from straddling cache lines and makes the
 // alignment testable (the allocator is a type-level property, so a column
 // that silently lost its alignment fails to compile, not just to vectorize).

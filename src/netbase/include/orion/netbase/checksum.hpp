@@ -10,11 +10,9 @@ namespace orion::net {
 /// One's-complement sum accumulator used by IPv4/TCP/UDP/ICMP checksums.
 /// Feed byte ranges (and 16-bit words for pseudo-headers), then finalize().
 ///
-/// add_bytes() dispatches on the SIMD tier (DESIGN.md §14): 8 or 16 words
-/// summed per vector step into u32 lanes, reduced blockwise into the
-/// 64-bit accumulator, with an 8-byte big-endian fold as the portable
-/// fallback. One's-complement addition is associative under the final
-/// fold, so every path finalizes identically. The original word-wise
+/// add_bytes() sums two big-endian 32-bit loads per 8-byte step into the
+/// 64-bit accumulator; each load is two 16-bit words, and 65536 ≡ 1
+/// (mod 65535), so the final fold is unchanged. The original word-wise
 /// accumulator is kept as add_bytes_scalar(), the reference the
 /// equivalence tests pin against.
 class InternetChecksum {

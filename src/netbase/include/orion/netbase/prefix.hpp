@@ -86,15 +86,9 @@ class PrefixSet {
   std::optional<Prefix> find(Ipv4Address a) const;
 
   /// Batched membership: out[i] = contains(Ipv4Address(addrs[i])) as 0/1
-  /// bytes. For small sets (the common telescope case: one or a few dark
-  /// prefixes) this runs one SIMD masked-compare sweep per member prefix
-  /// (simd::accumulate_masked_eq_u32); larger sets fall back to the
-  /// per-address binary search. Identical results either way.
+  /// bytes.
   void contains_batch(const std::uint32_t* addrs, std::size_t n,
                       std::uint8_t* out) const;
-  /// Reference loop for the equivalence tests: per-address contains().
-  void contains_batch_scalar(const std::uint32_t* addrs, std::size_t n,
-                             std::uint8_t* out) const;
 
   /// Total number of addresses across all member prefixes.
   std::uint64_t total_addresses() const { return total_addresses_; }

@@ -1,16 +1,5 @@
 #include "orion/netbase/checksum.hpp"
 
-#include <algorithm>
-
-#include "orion/netbase/simd.hpp"
-
-#if ORION_SIMD_ENABLED && defined(__x86_64__)
-#include <immintrin.h>
-#endif
-#if ORION_SIMD_ENABLED && defined(__aarch64__)
-#include <arm_neon.h>
-#endif
-
 namespace orion::net {
 
 namespace {
@@ -22,84 +11,6 @@ inline std::uint64_t load_be32(const std::uint8_t* p) {
   return (std::uint64_t{p[0]} << 24) | (std::uint64_t{p[1]} << 16) |
          (std::uint64_t{p[2]} << 8) | std::uint64_t{p[3]};
 }
-
-#if ORION_SIMD_ENABLED && defined(__x86_64__)
-
-// The vector accumulators hold 8 (AVX2) or 4 (SSE) u32 lanes, each fed one
-// 16-bit big-endian word per iteration; callers bound a block to kSimdBlock
-// bytes so no lane can reach 2^32 before it is reduced into the u64 sum.
-// The result is the exact integer sum of the same words the scalar loop
-// adds, just grouped differently — finalize() folds both identically.
-
-/// Sums `n` bytes (n % 32 == 0) of big-endian 16-bit words.
-__attribute__((target("avx2"))) std::uint64_t sum_words_avx2(
-    const std::uint8_t* p, std::size_t n) {
-  const __m256i bswap16 = _mm256_setr_epi8(
-      1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14,  //
-      1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14);
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i acc_lo = zero;
-  __m256i acc_hi = zero;
-  for (std::size_t i = 0; i < n; i += 32) {
-    const __m256i raw =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i));
-    const __m256i words = _mm256_shuffle_epi8(raw, bswap16);
-    acc_lo = _mm256_add_epi32(acc_lo, _mm256_unpacklo_epi16(words, zero));
-    acc_hi = _mm256_add_epi32(acc_hi, _mm256_unpackhi_epi16(words, zero));
-  }
-  const __m256i acc = _mm256_add_epi32(acc_lo, acc_hi);
-  alignas(32) std::uint32_t lanes[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t total = 0;
-  for (const std::uint32_t lane : lanes) total += lane;
-  return total;
-}
-
-/// Sums `n` bytes (n % 16 == 0) of big-endian 16-bit words (SSSE3 shuffle,
-/// available on the sse42 tier).
-__attribute__((target("sse4.2"))) std::uint64_t sum_words_sse(
-    const std::uint8_t* p, std::size_t n) {
-  const __m128i bswap16 =
-      _mm_setr_epi8(1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14);
-  const __m128i zero = _mm_setzero_si128();
-  __m128i acc_lo = zero;
-  __m128i acc_hi = zero;
-  for (std::size_t i = 0; i < n; i += 16) {
-    const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i));
-    const __m128i words = _mm_shuffle_epi8(raw, bswap16);
-    acc_lo = _mm_add_epi32(acc_lo, _mm_unpacklo_epi16(words, zero));
-    acc_hi = _mm_add_epi32(acc_hi, _mm_unpackhi_epi16(words, zero));
-  }
-  const __m128i acc = _mm_add_epi32(acc_lo, acc_hi);
-  alignas(16) std::uint32_t lanes[4];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  return std::uint64_t{lanes[0]} + lanes[1] + lanes[2] + lanes[3];
-}
-
-#endif  // x86-64
-
-#if ORION_SIMD_ENABLED && defined(__aarch64__)
-
-/// Sums `n` bytes (n % 16 == 0) of big-endian 16-bit words.
-std::uint64_t sum_words_neon(const std::uint8_t* p, std::size_t n) {
-  uint32x4_t acc = vdupq_n_u32(0);
-  for (std::size_t i = 0; i < n; i += 16) {
-    const uint8x16_t raw = vld1q_u8(p + i);
-    // vrev16 swaps to big-endian word values; paddl sums adjacent words.
-    acc = vaddq_u32(acc, vpaddlq_u16(vreinterpretq_u16_u8(vrev16q_u8(raw))));
-  }
-  return std::uint64_t{vgetq_lane_u32(acc, 0)} + vgetq_lane_u32(acc, 1) +
-         vgetq_lane_u32(acc, 2) + vgetq_lane_u32(acc, 3);
-}
-
-#endif  // aarch64
-
-#if ORION_SIMD_ENABLED && (defined(__x86_64__) || defined(__aarch64__))
-/// Largest run handed to a vector kernel before its u32 lanes are reduced
-/// into the u64 accumulator (2^18 bytes: worst lane gain per 16-byte step
-/// is 2 * 0xFFFF on NEON, so lanes stay far below 2^32).
-constexpr std::size_t kSimdBlock = std::size_t{1} << 18;
-#endif
 
 }  // namespace
 
@@ -115,33 +26,6 @@ void InternetChecksum::add_bytes(std::span<const std::uint8_t> data) {
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
   std::uint64_t s = sum_;
-#if ORION_SIMD_ENABLED && defined(__x86_64__)
-  const simd::Level level = simd::active_level();
-  if (level == simd::Level::Avx2) {
-    while (n >= 32) {
-      const std::size_t take = std::min(n & ~std::size_t{31}, kSimdBlock);
-      s += sum_words_avx2(p, take);
-      p += take;
-      n -= take;
-    }
-  } else if (level == simd::Level::Sse42) {
-    while (n >= 16) {
-      const std::size_t take = std::min(n & ~std::size_t{15}, kSimdBlock);
-      s += sum_words_sse(p, take);
-      p += take;
-      n -= take;
-    }
-  }
-#elif ORION_SIMD_ENABLED && defined(__aarch64__)
-  if (simd::active_level() == simd::Level::Neon) {
-    while (n >= 16) {
-      const std::size_t take = std::min(n & ~std::size_t{15}, kSimdBlock);
-      s += sum_words_neon(p, take);
-      p += take;
-      n -= take;
-    }
-  }
-#endif
   while (n >= 8) {
     s += load_be32(p) + load_be32(p + 4);
     p += 8;

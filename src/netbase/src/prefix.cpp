@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstring>
 #include <stdexcept>
-
-#include "orion/netbase/simd.hpp"
 
 namespace orion::net {
 
@@ -68,29 +65,10 @@ std::optional<Prefix> PrefixSet::find(Ipv4Address a) const {
   return std::nullopt;
 }
 
-void PrefixSet::contains_batch_scalar(const std::uint32_t* addrs, std::size_t n,
-                                      std::uint8_t* out) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = contains(Ipv4Address(addrs[i])) ? 1 : 0;
-  }
-}
-
 void PrefixSet::contains_batch(const std::uint32_t* addrs, std::size_t n,
                                std::uint8_t* out) const {
-  // One masked-compare sweep per member prefix beats per-address binary
-  // search only while the set is small; 8 sweeps over the column is the
-  // break-even neighborhood against log2 probes with branches.
-  constexpr std::size_t kMaxSweepPrefixes = 8;
-  if (n == 0) return;
-  if (prefixes_.size() > kMaxSweepPrefixes) {
-    contains_batch_scalar(addrs, n, out);
-    return;
-  }
-  std::memset(out, 0, n);
-  for (const Prefix& p : prefixes_) {
-    const std::uint32_t mask =
-        p.length() == 0 ? 0u : ~std::uint32_t{0} << (32 - p.length());
-    simd::accumulate_masked_eq_u32(addrs, n, mask, p.base().value(), out);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = contains(Ipv4Address(addrs[i])) ? 1 : 0;
   }
 }
 

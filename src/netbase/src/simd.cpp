@@ -3,14 +3,8 @@
 #include <atomic>
 #include <cstdlib>
 
-#if ORION_SIMD_ENABLED && defined(__x86_64__)
-#include <immintrin.h>
-#endif
-#if ORION_SIMD_ENABLED && defined(__aarch64__)
-#include <arm_neon.h>
-#if defined(__linux__)
+#if ORION_SIMD_ENABLED && defined(__aarch64__) && defined(__linux__)
 #include <sys/auxv.h>
-#endif
 #endif
 
 namespace orion::net::simd {
@@ -137,126 +131,6 @@ std::string feature_string() {
   features = "unknown ISA";
 #endif
   return features;
-}
-
-// --- prefix-membership kernel -----------------------------------------------
-
-void accumulate_masked_eq_u32_scalar(const std::uint32_t* v, std::size_t n,
-                                     std::uint32_t mask, std::uint32_t expect,
-                                     std::uint8_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] |= static_cast<std::uint8_t>((v[i] & mask) == expect);
-  }
-}
-
-#if ORION_SIMD_ENABLED && defined(__x86_64__)
-
-namespace {
-
-/// 32 lanes of (v & mask) == expect per iteration: four 8-lane compares
-/// packed down to one byte vector (packs interleave 128-bit lanes, the
-/// permute restores source order), OR-merged into the output column.
-__attribute__((target("avx2"))) void masked_eq_avx2(const std::uint32_t* v,
-                                                    std::size_t n,
-                                                    std::uint32_t mask,
-                                                    std::uint32_t expect,
-                                                    std::uint8_t* out) {
-  const __m256i vmask = _mm256_set1_epi32(static_cast<int>(mask));
-  const __m256i vexpect = _mm256_set1_epi32(static_cast<int>(expect));
-  const __m256i fix = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-  const __m256i one = _mm256_set1_epi8(1);
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    // GCC refuses to inline AVX2 intrinsics into lambdas declared inside a
-    // target("avx2") function, so the four compares are spelled out.
-#define ORION_CMP8(off)                                                       \
-  _mm256_cmpeq_epi32(                                                         \
-      _mm256_and_si256(_mm256_loadu_si256(                                    \
-                           reinterpret_cast<const __m256i*>(v + i + (off))),  \
-                       vmask),                                                \
-      vexpect)
-    const __m256i ab = _mm256_packs_epi32(ORION_CMP8(0), ORION_CMP8(8));
-    const __m256i cd = _mm256_packs_epi32(ORION_CMP8(16), ORION_CMP8(24));
-#undef ORION_CMP8
-    __m256i bytes = _mm256_packs_epi16(ab, cd);
-    bytes = _mm256_permutevar8x32_epi32(bytes, fix);
-    bytes = _mm256_and_si256(bytes, one);
-    __m256i prev =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(out + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_or_si256(prev, bytes));
-  }
-  accumulate_masked_eq_u32_scalar(v + i, n - i, mask, expect, out + i);
-}
-
-/// 16 lanes per iteration with SSE2 packs (no cross-lane shuffle needed).
-void masked_eq_sse(const std::uint32_t* v, std::size_t n, std::uint32_t mask,
-                   std::uint32_t expect, std::uint8_t* out) {
-  const __m128i vmask = _mm_set1_epi32(static_cast<int>(mask));
-  const __m128i vexpect = _mm_set1_epi32(static_cast<int>(expect));
-  const __m128i one = _mm_set1_epi8(1);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const auto cmp = [&](std::size_t off) {
-      const __m128i x =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i + off));
-      return _mm_cmpeq_epi32(_mm_and_si128(x, vmask), vexpect);
-    };
-    const __m128i ab = _mm_packs_epi32(cmp(0), cmp(4));
-    const __m128i cd = _mm_packs_epi32(cmp(8), cmp(12));
-    __m128i bytes = _mm_packs_epi16(ab, cd);
-    bytes = _mm_and_si128(bytes, one);
-    const __m128i prev =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(out + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_or_si128(prev, bytes));
-  }
-  accumulate_masked_eq_u32_scalar(v + i, n - i, mask, expect, out + i);
-}
-
-}  // namespace
-
-#endif  // x86-64
-
-#if ORION_SIMD_ENABLED && defined(__aarch64__)
-
-namespace {
-
-void masked_eq_neon(const std::uint32_t* v, std::size_t n, std::uint32_t mask,
-                    std::uint32_t expect, std::uint8_t* out) {
-  const uint32x4_t vmask = vdupq_n_u32(mask);
-  const uint32x4_t vexpect = vdupq_n_u32(expect);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const auto cmp = [&](std::size_t off) {
-      return vceqq_u32(vandq_u32(vld1q_u32(v + i + off), vmask), vexpect);
-    };
-    const uint16x8_t ab = vcombine_u16(vmovn_u32(cmp(0)), vmovn_u32(cmp(4)));
-    const uint16x8_t cd = vcombine_u16(vmovn_u32(cmp(8)), vmovn_u32(cmp(12)));
-    const uint8x16_t bytes =
-        vandq_u8(vcombine_u8(vmovn_u16(ab), vmovn_u16(cd)), vdupq_n_u8(1));
-    vst1q_u8(out + i, vorrq_u8(vld1q_u8(out + i), bytes));
-  }
-  accumulate_masked_eq_u32_scalar(v + i, n - i, mask, expect, out + i);
-}
-
-}  // namespace
-
-#endif  // aarch64
-
-void accumulate_masked_eq_u32(const std::uint32_t* v, std::size_t n,
-                              std::uint32_t mask, std::uint32_t expect,
-                              std::uint8_t* out) {
-#if ORION_SIMD_ENABLED && defined(__x86_64__)
-  const Level level = active_level();
-  if (level == Level::Avx2) return masked_eq_avx2(v, n, mask, expect, out);
-  if (level == Level::Sse42) return masked_eq_sse(v, n, mask, expect, out);
-#elif ORION_SIMD_ENABLED && defined(__aarch64__)
-  if (active_level() == Level::Neon) {
-    return masked_eq_neon(v, n, mask, expect, out);
-  }
-#endif
-  accumulate_masked_eq_u32_scalar(v, n, mask, expect, out);
 }
 
 }  // namespace orion::net::simd

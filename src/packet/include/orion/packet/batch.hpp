@@ -24,7 +24,7 @@
 namespace orion::pkt {
 
 static_assert(net::kColumnAlignment >= 64,
-              "SIMD batch kernels assume cache-line-aligned columns");
+              "column loops assume cache-line-aligned columns");
 
 class PacketBatch {
  public:
@@ -144,7 +144,7 @@ class PacketBatch {
     return classify_tool(proto(i), dst(i), dst_port_[i], ip_id_[i], tcp_seq_[i]);
   }
 
-  // Raw column views (for the benchmarks, the SIMD classify kernels, and
+  // Raw column views (for the benchmarks, the batch classify loops, and
   // column-streaming consumers). Columns are 64-byte aligned (aligned.hpp)
   // so vector loads never straddle cache lines.
   const net::aligned_vector<std::int64_t>& ts_ns() const { return ts_ns_; }

@@ -1,12 +1,9 @@
-// Batched (SIMD-dispatched) forms of the Section 2.A traffic classifier
-// and the tool fingerprinter — DESIGN.md §14 kernel (1).
+// Batched forms of the Section 2.A traffic classifier and the tool
+// fingerprinter over PacketBatch columns.
 //
-// Each kernel fills a byte column with the enum value the scalar
-// classifier core (classify_traffic / classify_tool) would return for the
-// same record: 32 lanes per strip on AVX2, 16 on SSE4.2/NEON, and a plain
-// loop over the constexpr cores on the scalar tier. The *_scalar forms are
-// exactly that loop, pinned as the equivalence references the fuzz tests
-// compare every tier against.
+// Each fills a byte column with the enum value the constexpr per-record
+// core (classify_traffic / classify_tool) returns for the same record; the
+// cores are the equivalence oracle the tests compare against.
 #pragma once
 
 #include <cstddef>
@@ -23,10 +20,6 @@ void classify_traffic_batch(const std::uint8_t* proto,
                             const std::uint8_t* tcp_flags,
                             const std::uint8_t* icmp_type, std::size_t n,
                             std::uint8_t* out);
-void classify_traffic_batch_scalar(const std::uint8_t* proto,
-                                   const std::uint8_t* tcp_flags,
-                                   const std::uint8_t* icmp_type, std::size_t n,
-                                   std::uint8_t* out);
 
 /// out[i] = uint8(classify_tool(proto[i], dst[i], dst_port[i], ip_id[i],
 /// tcp_seq[i])).
@@ -35,12 +28,6 @@ void classify_tool_batch(const std::uint8_t* proto, const std::uint32_t* dst,
                          const std::uint16_t* ip_id,
                          const std::uint32_t* tcp_seq, std::size_t n,
                          std::uint8_t* out);
-void classify_tool_batch_scalar(const std::uint8_t* proto,
-                                const std::uint32_t* dst,
-                                const std::uint16_t* dst_port,
-                                const std::uint16_t* ip_id,
-                                const std::uint32_t* tcp_seq, std::size_t n,
-                                std::uint8_t* out);
 
 /// Column-view conveniences over a PacketBatch; `out` must hold
 /// batch.size() bytes.

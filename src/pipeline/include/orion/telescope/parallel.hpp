@@ -2,18 +2,15 @@
 //
 // Packets are gathered into columnar PacketBatch arenas and dispatched by
 // hash of source IP (net::shard_of) over bounded SPSC rings to N worker
-// shards. The dispatcher vectorizes dark-space membership on the way in —
-// one PrefixSet::contains_batch call (the DESIGN.md §14 SIMD kernel) per
-// incoming batch, scattered as a 0/1 side-channel column next to the
-// records — so shard aggregators consume membership instead of
-// recomputing it per shard batch. Workers drain whole spans of batches
-// per ring handshake
-// (SpscRing::try_pop_n) and feed them to the shard aggregator's batched
-// engine (EventAggregator::observe_batch). Each shard owns a full
-// EventAggregator plus a ShardDetectorSlice, so every per-source quantity
-// the paper's definitions need lives in exactly one shard by
-// construction. Drained batch arenas flow back to the dispatcher on a
-// per-shard recycle ring, so the steady-state hot path allocates nothing.
+// shards. The dispatcher only routes records; dark-space membership and
+// classification run on the workers. Workers drain whole spans of batches
+// per ring handshake (SpscRing::try_pop_n) and feed them to the shard
+// aggregator's batched engine (EventAggregator::observe_batch). Each
+// shard owns a full EventAggregator plus a ShardDetectorSlice, so every
+// per-source quantity the paper's definitions need lives in exactly one
+// shard by construction. Drained batch arenas flow back to the
+// dispatcher on a per-shard recycle ring, so the steady-state hot path
+// allocates nothing.
 // finish() joins the workers and runs a deterministic merge —
 // event-dataset concatenation under the dataset's total (start, key)
 // order plus detect::merge_shard_slices — whose output is byte-identical
@@ -175,11 +172,6 @@ class ParallelPipeline {
  private:
   struct Batch {
     pkt::PacketBatch records;
-    /// Dark-space membership side-channel, one 0/1 byte per record: the
-    /// dispatcher runs PrefixSet::contains_batch (the SIMD kernel) once
-    /// per incoming batch and scatters the result here, so shard
-    /// aggregators skip recomputing membership per record.
-    std::vector<std::uint8_t> member;
     bool stop = false;
   };
 
@@ -207,8 +199,6 @@ class ParallelPipeline {
     std::unique_ptr<EventAggregator> aggregator;
     std::unique_ptr<detect::ShardDetectorSlice> slice;
     pkt::PacketBatch pending;  // dispatcher-side partial batch
-    /// Membership bytes parallel to `pending`, moved out with it.
-    std::vector<std::uint8_t> pending_member;
     std::thread worker;
 
     /// --- supervision state (all idle when supervision is disabled) ---
@@ -269,9 +259,6 @@ class ParallelPipeline {
   net::PrefixSet dark_space_;
   std::uint64_t darknet_size_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Whole-batch membership scratch for observe_batch's vectorized
-  /// contains_batch call (reused; no steady-state allocation).
-  std::vector<std::uint8_t> member_scratch_;
 
   PipelineHealth health_;
   net::SimTime last_timestamp_;

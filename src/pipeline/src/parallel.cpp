@@ -82,7 +82,6 @@ ParallelPipeline::ParallelPipeline(net::PrefixSet dark_space,
           raw->slice->observe(event);
         });
     raw->pending.reserve(config_.batch_size);
-    raw->pending_member.reserve(config_.batch_size);
     shards_.push_back(std::move(shard));
   }
   for (auto& shard : shards_) spawn_worker(*shard, 0);
@@ -134,12 +133,11 @@ void ParallelPipeline::worker_loop(Shard& shard, std::uint64_t start_batches) {
           if (config_.supervisor.fault_hook) {
             config_.supervisor.fault_hook(shard.index, seq + i);
           }
-          shard.aggregator->observe_batch(batch.records, batch.member);
+          shard.aggregator->observe_batch(batch.records);
           shard.delivered += batch.records.size();
           // Hand the drained arenas back for reuse; a full recycle ring
           // just means the dispatcher is ahead, so they are dropped.
           batch.records.clear();
-          batch.member.clear();
           shard.recycle.try_push(batch);
           batch = Batch();
         }
@@ -319,16 +317,12 @@ bool ParallelPipeline::push_batch(Shard& shard, Batch&& batch, bool log) {
 void ParallelPipeline::dispatch_pending(Shard& shard) {
   Batch batch;
   batch.records = std::move(shard.pending);
-  batch.member = std::move(shard.pending_member);
   // Prefer recycled arenas (warm column capacity) for the next batch.
   Batch recycled;
   if (shard.recycle.try_pop(recycled)) {
     shard.pending = std::move(recycled.records);
-    shard.pending_member = std::move(recycled.member);
   } else {
     shard.pending = pkt::PacketBatch(config_.batch_size);
-    shard.pending_member = {};
-    shard.pending_member.reserve(config_.batch_size);
   }
   push_batch(shard, std::move(batch), /*log=*/true);
 }
@@ -390,10 +384,6 @@ void ParallelPipeline::observe(const pkt::Packet& packet) {
   Shard& shard =
       *shards_[net::shard_of(packet.tuple.src, config_.shards)];
   shard.pending.push_back(packet);
-  // Scalar membership for the one-packet path — identical to the batched
-  // kernel on every address (the §14 equivalence gate pins that).
-  shard.pending_member.push_back(
-      dark_space_.contains(packet.tuple.dst) ? std::uint8_t{1} : std::uint8_t{0});
   if (shard.pending.size() >= config_.batch_size) dispatch_pending(shard);
 }
 
@@ -421,16 +411,9 @@ void ParallelPipeline::observe_batch(const pkt::PacketBatch& batch) {
   last_timestamp_ = batch.timestamp(n - 1);
   health_.ingested += n;
 
-  // One vectorized membership pass over the whole incoming batch before
-  // anything fans out: each record's 0/1 result rides to its shard as a
-  // side-channel column, so no shard aggregator re-tests the dark space.
-  member_scratch_.resize(n);
-  dark_space_.contains_batch(batch.dst_col().data(), n, member_scratch_.data());
-
   for (std::size_t i = 0; i < n; ++i) {
     Shard& shard = *shards_[net::shard_of(batch.src(i), config_.shards)];
     shard.pending.append_record(batch, i);
-    shard.pending_member.push_back(member_scratch_[i]);
     if (shard.pending.size() >= config_.batch_size) dispatch_pending(shard);
   }
 }

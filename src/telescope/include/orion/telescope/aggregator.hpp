@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "orion/netbase/flat_map.hpp"
@@ -64,20 +63,7 @@ class EventAggregator {
   /// One deliberate strengthening: timestamps are validated for the whole
   /// batch up front, so a mid-batch regression throws *before* any record
   /// is applied (the scalar loop would have applied the valid prefix).
-  void observe_batch(const pkt::PacketBatch& batch) {
-    observe_batch(batch, {});
-  }
-
-  /// Same, with dark-space membership precomputed by the caller: member
-  /// (when non-empty) must hold batch.size() 0/1 bytes equal to what
-  /// dark_space.contains_batch returns for batch's dst column — the
-  /// ParallelPipeline dispatcher vectorizes that test once per incoming
-  /// batch and scatters the column alongside the records, so per-shard
-  /// aggregators skip recomputing it. Empty member means "compute here"
-  /// (identical results either way); any other size throws
-  /// std::invalid_argument.
-  void observe_batch(const pkt::PacketBatch& batch,
-                     std::span<const std::uint8_t> member);
+  void observe_batch(const pkt::PacketBatch& batch);
 
   /// Expires everything idle at `now` without feeding a packet (used at
   /// day boundaries by the longitudinal driver).
@@ -159,8 +145,8 @@ class EventAggregator {
   // Per-record scratch columns reused across batches (kept as members so
   // a steady-state observe_batch call performs zero allocations).
   std::vector<std::uint8_t> scratch_kind_;
-  std::vector<std::uint8_t> scratch_member_;  // SIMD dark-space membership
-  std::vector<std::uint8_t> scratch_type_;    // SIMD traffic classification
+  std::vector<std::uint8_t> scratch_member_;  // dark-space membership
+  std::vector<std::uint8_t> scratch_type_;    // traffic classification
   std::vector<std::uint8_t> scratch_tool_;
   std::vector<EventKey> scratch_key_;
   std::vector<std::size_t> scratch_hash_;

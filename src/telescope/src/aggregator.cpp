@@ -80,14 +80,9 @@ void EventAggregator::observe(const pkt::Packet& packet) {
   live->dests.add(dark_space_.offset_of(packet.tuple.dst));
 }
 
-void EventAggregator::observe_batch(const pkt::PacketBatch& batch,
-                                    std::span<const std::uint8_t> member) {
+void EventAggregator::observe_batch(const pkt::PacketBatch& batch) {
   const std::size_t n = batch.size();
   if (n == 0) return;
-  if (!member.empty() && member.size() != n) {
-    throw std::invalid_argument(
-        "EventAggregator::observe_batch: membership column size mismatch");
-  }
 
   // Whole-batch monotonicity validation before any record is applied.
   {
@@ -112,32 +107,23 @@ void EventAggregator::observe_batch(const pkt::PacketBatch& batch,
 
   // Pass 1: classify every record and precompute key hashes / dark-space
   // offsets into the scratch columns. kind: 0 = outside the dark space,
-  // 1 = non-scanning, 2 = scanning. The dark-space membership, traffic
-  // classification, and tool attribution columns are filled by the SIMD
-  // batch kernels (DESIGN.md §14) — on the scalar tier those dispatch to
-  // the same constexpr cores the original per-record loop called, so the
-  // scratch contents are identical at every tier.
+  // 1 = non-scanning, 2 = scanning. The membership, traffic-class and tool
+  // columns come from the batch forms of the same per-record tests the
+  // scalar observe() runs, so both paths see identical inputs.
   scratch_kind_.resize(n);
+  scratch_member_.resize(n);
   scratch_type_.resize(n);
   scratch_tool_.resize(n);
   scratch_key_.resize(n);
   scratch_hash_.resize(n);
   scratch_offset_.resize(n);
-  // Membership: trust the caller's precomputed column when given (the
-  // dispatcher ran the same contains_batch kernel once for the whole
-  // batch), else compute it here.
-  const std::uint8_t* member_col = member.data();
-  if (member.empty()) {
-    scratch_member_.resize(n);
-    dark_space_.contains_batch(batch.dst_col().data(), n, scratch_member_.data());
-    member_col = scratch_member_.data();
-  }
+  dark_space_.contains_batch(batch.dst_col().data(), n, scratch_member_.data());
   pkt::classify_traffic_batch(batch, scratch_type_.data());
   pkt::classify_tool_batch(batch, scratch_tool_.data());
   std::uint64_t out_of_space = 0;
   std::uint64_t non_scanning = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!member_col[i]) {
+    if (!scratch_member_[i]) {
       scratch_kind_[i] = 0;
       ++out_of_space;
       continue;

@@ -142,6 +142,40 @@ TEST(PrefixSet, AddressAtOffsetRoundTripsAcrossPrefixes) {
   EXPECT_THROW(set.offset_of(*Ipv4Address::parse("10.9.9.9")), std::out_of_range);
 }
 
+TEST(PrefixSet, ContainsBatchMatchesContains) {
+  const auto make_set = [](std::initializer_list<const char*> cidrs) {
+    std::vector<Prefix> prefixes;
+    for (const char* c : cidrs) prefixes.push_back(*Prefix::parse(c));
+    return PrefixSet(prefixes);
+  };
+  const PrefixSet one = make_set({"198.18.0.0/22"});
+  const PrefixSet eight = make_set(
+      {"198.18.4.0/24", "1.0.0.0/24", "2.0.0.0/24", "3.0.0.0/24", "4.0.0.0/24",
+       "5.0.0.0/24", "6.0.0.0/24", "198.18.0.0/22"});
+  const PrefixSet nine = make_set(
+      {"1.0.0.0/24", "2.0.0.0/24", "3.0.0.0/24", "4.0.0.0/24", "5.0.0.0/24",
+       "6.0.0.0/24", "7.0.0.0/24", "8.0.0.0/24", "198.18.0.0/22"});
+  const PrefixSet everything = make_set({"0.0.0.0/0"});
+  for (const PrefixSet* set : {&one, &eight, &nine, &everything}) {
+    for (const std::size_t n : {0, 1, 15, 16, 17, 31, 32, 33, 4096}) {
+      Rng rng(53 * n + 13);
+      std::vector<std::uint32_t> addrs(n);
+      for (auto& a : addrs) {
+        // Half the draws land near the 198.18.0.0/22 member.
+        a = rng.chance(0.5)
+                ? (0xC6120000u | static_cast<std::uint32_t>(rng.bounded(4096)))
+                : static_cast<std::uint32_t>(rng.next());
+      }
+      std::vector<std::uint8_t> got(n, 0xEE);
+      set->contains_batch(addrs.data(), n, got.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        const int want = set->contains(Ipv4Address(addrs[i])) ? 1 : 0;
+        ASSERT_EQ(got[i], want) << "n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------------------- Checksum
 
 TEST(InternetChecksum, Rfc1071Example) {
