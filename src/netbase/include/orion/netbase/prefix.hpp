@@ -84,6 +84,9 @@ class PrefixSet {
   bool contains(Ipv4Address a) const;
   /// The member prefix containing `a`, if any.
   std::optional<Prefix> find(Ipv4Address a) const;
+  /// offset_of(a) when `a` is in the set, else nullopt: membership and
+  /// offset from one binary search.
+  std::optional<std::uint64_t> lookup_offset(Ipv4Address a) const;
 
   /// Batched membership: out[i] = contains(Ipv4Address(addrs[i])) as 0/1
   /// bytes.
@@ -99,13 +102,17 @@ class PrefixSet {
   /// treating the set as one concatenated address range. This is how
   /// generators pick uniform targets inside a monitored space.
   Ipv4Address address_at(std::uint64_t offset) const;
-  /// Inverse of address_at(); caller must check contains().
+  /// Inverse of address_at(); throws std::out_of_range when `a` is not
+  /// in the set.
   std::uint64_t offset_of(Ipv4Address a) const;
 
   const std::vector<Prefix>& prefixes() const { return prefixes_; }
   bool empty() const { return prefixes_.empty(); }
 
  private:
+  /// Index of the member prefix containing `a`, else prefixes_.size().
+  std::size_t locate(Ipv4Address a) const;
+
   std::vector<Prefix> prefixes_;              // sorted by base address
   std::vector<std::uint64_t> cum_sizes_;      // exclusive prefix sums
   std::uint64_t total_addresses_ = 0;

@@ -53,16 +53,30 @@ void PrefixSet::add(Prefix p) {
   total_addresses_ = running;
 }
 
-bool PrefixSet::contains(Ipv4Address a) const { return find(a).has_value(); }
-
-std::optional<Prefix> PrefixSet::find(Ipv4Address a) const {
+std::size_t PrefixSet::locate(Ipv4Address a) const {
   const auto it = std::upper_bound(
       prefixes_.begin(), prefixes_.end(), a,
       [](Ipv4Address addr, const Prefix& p) { return addr < p.base(); });
-  if (it == prefixes_.begin()) return std::nullopt;
-  const Prefix& candidate = *std::prev(it);
-  if (candidate.contains(a)) return candidate;
-  return std::nullopt;
+  if (it == prefixes_.begin() || !std::prev(it)->contains(a)) {
+    return prefixes_.size();
+  }
+  return static_cast<std::size_t>(it - prefixes_.begin()) - 1;
+}
+
+bool PrefixSet::contains(Ipv4Address a) const {
+  return locate(a) < prefixes_.size();
+}
+
+std::optional<Prefix> PrefixSet::find(Ipv4Address a) const {
+  const std::size_t index = locate(a);
+  if (index == prefixes_.size()) return std::nullopt;
+  return prefixes_[index];
+}
+
+std::optional<std::uint64_t> PrefixSet::lookup_offset(Ipv4Address a) const {
+  const std::size_t index = locate(a);
+  if (index == prefixes_.size()) return std::nullopt;
+  return cum_sizes_[index] + prefixes_[index].offset_of(a);
 }
 
 void PrefixSet::contains_batch(const std::uint32_t* addrs, std::size_t n,
@@ -88,18 +102,11 @@ Ipv4Address PrefixSet::address_at(std::uint64_t offset) const {
 }
 
 std::uint64_t PrefixSet::offset_of(Ipv4Address a) const {
-  const auto it = std::upper_bound(
-      prefixes_.begin(), prefixes_.end(), a,
-      [](Ipv4Address addr, const Prefix& p) { return addr < p.base(); });
-  if (it == prefixes_.begin()) {
+  const std::optional<std::uint64_t> offset = lookup_offset(a);
+  if (!offset) {
     throw std::out_of_range("PrefixSet::offset_of: address not in set");
   }
-  const std::size_t index = static_cast<std::size_t>(it - prefixes_.begin()) - 1;
-  const Prefix& p = prefixes_[index];
-  if (!p.contains(a)) {
-    throw std::out_of_range("PrefixSet::offset_of: address not in set");
-  }
-  return cum_sizes_[index] + p.offset_of(a);
+  return *offset;
 }
 
 }  // namespace orion::net

@@ -30,12 +30,19 @@
 // lets FlowImpactAnalyzer answer query() from the file alone. Block
 // min/max over src are the zone maps source-targeted scans prune with.
 //
-// Integrity mirrors ODE1/ODE2 salvage: CRC-32 (the PR 7 hardware path)
-// guards the header and footer, each block's CRC lives in the footer, and
-// the salvage reader recovers every complete valid block preceding the
-// first error — validating the global row order structurally when
-// truncation took the footer (every flow field is total, so order is the
-// only structure unverified bytes have).
+// Integrity mirrors ODE1/ODE2 salvage: CRC-32 guards the header and
+// footer, each block's CRC lives in the footer, and the salvage reader
+// recovers every complete valid block preceding the first error —
+// validating the global row order structurally when truncation took the
+// footer (every flow field is total, so order is the only structure
+// unverified bytes have).
+//
+// The framing is the block container FDE1 shares with ODE2
+// (src/store/src/container.hpp, DESIGN.md §10.1, §15.1-15.2): one header,
+// geometry, footer frame, writer sink set and salvage walk for both
+// formats. FDE1 itself is the column list above, the segment index, the
+// src zone maps, the row-order check and the day window bound
+// (kFde1MaxWindowDays) that the writer and both readers enforce.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +68,22 @@ constexpr std::uint64_t kFde1BlockMetaBytes = 16;
 constexpr std::uint64_t fde1_block_bytes(std::uint64_t rows) {
   const std::uint64_t raw = rows * (3 * 8 + 2 * 4 + 3 * 2 + 1);
   return (raw + 7) & ~std::uint64_t{7};
+}
+
+/// Widest day window [start_day, end_day) an archive may declare: about
+/// 179 years, far past any study, and small enough that a window's day
+/// arithmetic and a per-day table (MappedFlowStore::to_dataset) stay in
+/// range.
+constexpr std::uint64_t kFde1MaxWindowDays = std::uint64_t{1} << 16;
+
+/// True when start_day <= end_day and the window spans at most
+/// kFde1MaxWindowDays days; the writer and both readers reject any
+/// other window. The span is computed unsigned, so no pair overflows.
+constexpr bool fde1_window_valid(std::int64_t start_day, std::int64_t end_day) {
+  return start_day <= end_day &&
+         static_cast<std::uint64_t>(end_day) -
+                 static_cast<std::uint64_t>(start_day) <=
+             kFde1MaxWindowDays;
 }
 
 /// One (router, day) cell of the archive: its row range plus the
@@ -89,8 +112,9 @@ struct Fde1Segment {
 };
 
 /// Writes explicit segments in FDE1 form; returns total bytes written.
-/// Segments must be strictly increasing in (router, day) with every day
-/// inside [start_day, end_day), and every row must carry its segment's
+/// The window must pass fde1_window_valid; segments must be strictly
+/// increasing in (router, day) with every day inside
+/// [start_day, end_day), and every row must carry its segment's
 /// router, a timestamp inside its segment's day, and keep the sorted
 /// order above — std::invalid_argument otherwise. Throws
 /// std::runtime_error on stream failure.

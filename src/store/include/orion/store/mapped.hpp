@@ -1,7 +1,9 @@
 // MappedEventStore — the zero-copy query engine over ODE2 archives.
 //
-// Opens an ODE2 file via mmap (falling back to a read-into-buffer when
-// mapping is unavailable) and exposes the column blocks as typed spans:
+// Opens an ODE2 file as a detail::MappedFile (mmap, or a read into an
+// 8-aligned buffer when mapping is unavailable), runs the container's
+// strict header/footer checks — the same ones salvage runs — and exposes
+// the column blocks as typed spans:
 // analyses scan columns in place, with no per-event materialization, no
 // istream parsing, and no upfront vector build. The per-day row index
 // answers day() predicates with a range lookup instead of a full-archive
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "orion/netbase/parallel.hpp"
+#include "orion/store/mapped_file.hpp"
 #include "orion/store/ode2.hpp"
 #include "orion/telescope/event.hpp"
 
@@ -79,17 +82,15 @@ struct EventRow {
 
 class MappedEventStore {
  public:
-  /// Strict open: maps the file and verifies magic, header CRC, geometry
-  /// and footer CRC (block payloads stay lazy — verify_blocks() checks
-  /// them on demand). Throws std::runtime_error with context on any
-  /// mismatch, like telescope::read_events_binary.
+  /// Strict open: maps the file and verifies magic, header CRC, geometry,
+  /// footer CRC, then the footer fields behind it — window, day index,
+  /// zone maps (block payloads stay lazy — verify_blocks() checks them on
+  /// demand). Throws std::runtime_error with context on any mismatch,
+  /// like telescope::read_events_binary.
   explicit MappedEventStore(const std::string& path);
-  ~MappedEventStore();
 
-  MappedEventStore(MappedEventStore&& other) noexcept;
-  MappedEventStore& operator=(MappedEventStore&& other) noexcept;
-  MappedEventStore(const MappedEventStore&) = delete;
-  MappedEventStore& operator=(const MappedEventStore&) = delete;
+  MappedEventStore(MappedEventStore&&) noexcept = default;
+  MappedEventStore& operator=(MappedEventStore&&) noexcept = default;
 
   std::uint64_t darknet_size() const { return darknet_size_; }
   std::size_t event_count() const { return static_cast<std::size_t>(event_count_); }
@@ -98,9 +99,9 @@ class MappedEventStore {
   std::uint64_t block_events() const { return block_events_; }
   std::size_t block_count() const { return blocks_.size(); }
   const std::vector<BlockMeta>& blocks() const { return blocks_; }
-  std::uint64_t file_bytes() const { return size_; }
+  std::uint64_t file_bytes() const { return file_.size(); }
   /// False when the portable read-into-buffer fallback is serving reads.
-  bool mapped() const { return mapped_; }
+  bool mapped() const { return file_.mapped(); }
 
   BlockView block(std::size_t k) const;
 
@@ -144,16 +145,12 @@ class MappedEventStore {
   /// in row order, touching only the blocks that hold them.
   template <typename Fn>
   void for_each_event_in_rows(std::uint64_t lo, std::uint64_t hi, Fn&& fn) const {
-    if (lo >= hi) return;
-    const std::uint64_t b = block_events_;
-    for (std::uint64_t k = lo / b; k * b < hi; ++k) {
-      const BlockView view = block(static_cast<std::size_t>(k));
-      const std::uint64_t from = lo > k * b ? lo - k * b : 0;
-      const std::uint64_t to = std::min<std::uint64_t>(view.rows(), hi - k * b);
-      for (std::uint64_t i = from; i < to; ++i) {
-        fn(row_of(view, static_cast<std::size_t>(i)));
-      }
-    }
+    detail::for_each_block_slice(
+        event_count_, block_events_, lo, hi,
+        [&](std::size_t k, std::size_t from, std::size_t to) {
+          const BlockView view = block(k);
+          for (std::size_t i = from; i < to; ++i) fn(row_of(view, i));
+        });
   }
 
   /// Calls fn(const EventRow&) for every event starting on `day`, using
@@ -205,13 +202,7 @@ class MappedEventStore {
     return row;
   }
 
-  void close() noexcept;
-
-  const std::uint8_t* data_ = nullptr;
-  std::uint64_t size_ = 0;
-  bool mapped_ = false;
-  std::vector<std::uint64_t> fallback_;  // owns the bytes when !mapped_
-
+  detail::MappedFile file_;
   std::uint64_t darknet_size_ = 0;
   std::uint64_t event_count_ = 0;
   std::uint64_t block_events_ = kOde2DefaultBlockEvents;

@@ -1,7 +1,9 @@
 // MappedFlowStore — the zero-copy query engine over FDE1 flow archives.
 //
-// Opens an FDE1 file via mmap (read-into-buffer fallback when mapping is
-// unavailable) and exposes the column blocks as typed spans. The footer's
+// Opens an FDE1 file as a detail::MappedFile (mmap, or a read into an
+// 8-aligned buffer when mapping is unavailable), runs the container's
+// strict header/footer checks — the same ones salvage runs — and exposes
+// the column blocks as typed spans. The footer's
 // per-(router, day) segment index answers row_range() with one binary
 // search, so an impact query touches exactly the rows of its cell — no
 // FlowRecord is ever materialized on that path: FlowSourceIndex builds
@@ -57,16 +59,14 @@ struct FlowBlockMeta {
 class MappedFlowStore {
  public:
   /// Strict open: maps the file and verifies magic, header CRC, geometry,
-  /// footer CRC and segment-index sanity (block payloads stay lazy —
+  /// footer CRC, then the day window, segment index and zone maps behind
+  /// it (block payloads stay lazy —
   /// verify_blocks() checks them on demand). Throws std::runtime_error
   /// with context on any mismatch.
   explicit MappedFlowStore(const std::string& path);
-  ~MappedFlowStore();
 
-  MappedFlowStore(MappedFlowStore&& other) noexcept;
-  MappedFlowStore& operator=(MappedFlowStore&& other) noexcept;
-  MappedFlowStore(const MappedFlowStore&) = delete;
-  MappedFlowStore& operator=(const MappedFlowStore&) = delete;
+  MappedFlowStore(MappedFlowStore&&) noexcept = default;
+  MappedFlowStore& operator=(MappedFlowStore&&) noexcept = default;
 
   std::uint32_t sampling_rate() const { return sampling_rate_; }
   std::size_t flow_count() const { return static_cast<std::size_t>(flow_count_); }
@@ -76,9 +76,9 @@ class MappedFlowStore {
   std::size_t block_count() const { return blocks_.size(); }
   const std::vector<FlowBlockMeta>& blocks() const { return blocks_; }
   const std::vector<FlowSegment>& segments() const { return segments_; }
-  std::uint64_t file_bytes() const { return size_; }
+  std::uint64_t file_bytes() const { return file_.size(); }
   /// False when the portable read-into-buffer fallback is serving reads.
-  bool mapped() const { return mapped_; }
+  bool mapped() const { return file_.mapped(); }
 
   FlowView block(std::size_t k) const;
 
@@ -123,24 +123,15 @@ class MappedFlowStore {
   /// block. The zero-copy feed for per-segment consumers.
   template <typename Fn>
   void for_each_span(std::uint64_t begin, std::uint64_t end, Fn&& fn) const {
-    if (begin >= end) return;
-    const std::uint64_t b = block_flows_;
-    for (std::uint64_t k = begin / b; k * b < end; ++k) {
-      const FlowView view = block(static_cast<std::size_t>(k));
-      const std::uint64_t lo = begin > k * b ? begin - k * b : 0;
-      const std::uint64_t hi = std::min<std::uint64_t>(view.rows(), end - k * b);
-      fn(view, static_cast<std::size_t>(lo), static_cast<std::size_t>(hi));
-    }
+    detail::for_each_block_slice(
+        flow_count_, block_flows_, begin, end,
+        [&](std::size_t k, std::size_t lo, std::size_t hi) {
+          fn(block(k), lo, hi);
+        });
   }
 
  private:
-  void close() noexcept;
-
-  const std::uint8_t* data_ = nullptr;
-  std::uint64_t size_ = 0;
-  bool mapped_ = false;
-  std::vector<std::uint64_t> fallback_;  // owns the bytes when !mapped_
-
+  detail::MappedFile file_;
   std::uint32_t sampling_rate_ = 0;
   std::uint64_t flow_count_ = 0;
   std::uint64_t block_flows_ = kFde1DefaultBlockFlows;

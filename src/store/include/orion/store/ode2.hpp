@@ -32,6 +32,14 @@
 // CRC-32s, each block's CRC lives in the footer, and the salvage reader
 // recovers every complete valid block preceding the first error — falling
 // back to header-derived geometry when truncation took the footer itself.
+//
+// Header, block geometry, footer frame (window, counts, index, metas,
+// block CRCs, CRC), the writer sinks and the salvage walk are the block
+// container ODE2 shares with FDE1 (src/store/src/container.hpp,
+// DESIGN.md §10.1-10.2); ODE2 itself is the column list above, the day
+// index and the (day, src) zone maps. Both readers run the same header
+// and footer checks, so salvage calls a footer intact exactly when the
+// strict open (MappedEventStore) accepts it.
 #pragma once
 
 #include <cstdint>

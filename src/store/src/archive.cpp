@@ -4,7 +4,7 @@
 #include <cctype>
 #include <filesystem>
 
-#include "layout.hpp"
+#include "container.hpp"
 #include "orion/netbase/crc32.hpp"
 #include "orion/store/mapped.hpp"
 #include "orion/store/mapped_flow.hpp"

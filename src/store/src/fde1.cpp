@@ -4,7 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <ostream>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 #include <vector>
@@ -12,20 +12,10 @@
 #include "flow_layout.hpp"
 #include "orion/flowsim/netflow_bridge.hpp"
 #include "orion/flowsim/routing.hpp"
-#include "orion/netbase/crc32.hpp"
 
 namespace orion::store {
 
 namespace {
-
-constexpr char kMagic[4] = {'F', 'D', 'E', '1'};
-
-std::uint64_t total_block_bytes(std::uint64_t n, std::uint64_t b) {
-  if (n == 0) return 0;
-  const std::uint64_t full = n / b;
-  const std::uint64_t rest = n % b;
-  return full * fde1_block_bytes(b) + (rest ? fde1_block_bytes(rest) : 0);
-}
 
 /// The global archive order every row must respect: segments strictly
 /// increase in (router, day), rows within a segment keep the
@@ -50,11 +40,10 @@ RowOrderKey key_of(const flowsim::FlowRecord& r) {
 void validate_segments(std::int64_t start_day, std::int64_t end_day,
                        const std::vector<Fde1Segment>& segments,
                        std::uint64_t& flow_count) {
-  if (start_day > end_day) {
-    throw std::invalid_argument("fde1 store: start_day > end_day");
-  }
-  if (segments.size() > detail::kMaxSegmentCount) {
-    throw std::invalid_argument("fde1 store: too many segments");
+  if (!fde1_window_valid(start_day, end_day)) {
+    throw std::invalid_argument(
+        "fde1 store: bad day window (start_day > end_day or wider than "
+        "kFde1MaxWindowDays)");
   }
   flow_count = 0;
   for (std::size_t s = 0; s < segments.size(); ++s) {
@@ -90,74 +79,27 @@ void validate_segments(std::int64_t start_day, std::int64_t end_day,
       }
     }
     flow_count += rows.size();
-    if (flow_count > detail::kMaxFlowCount) {
-      throw std::invalid_argument("fde1 store: too many flows");
-    }
   }
 }
 
-/// Zone map + location of one block, accumulated while writing.
-struct FlowBlockInfo {
-  std::uint64_t offset = 0;
-  std::uint32_t min_src = 0;
-  std::uint32_t max_src = 0;
-  std::uint32_t crc = 0;
-};
-
-}  // namespace
-
-/// Shared writer core over a `sink(ptr, bytes)` callable, mirroring
-/// write_events_ode2_impl: header and each block assembled in memory and
-/// emitted as one write each, footer CRC-sealed last.
-template <typename Sink>
-std::uint64_t write_flows_fde1_impl(std::uint32_t sampling_rate,
-                                    std::int64_t start_day,
-                                    std::int64_t end_day,
-                                    const std::vector<Fde1Segment>& segments,
-                                    Sink&& sink, std::uint64_t block_flows) {
-  if (block_flows == 0 || block_flows > detail::kMaxBlockFlows) {
-    throw std::invalid_argument("fde1 store: bad block size");
-  }
+/// The FDE1 body over any sink: the segments' rows, concatenated, fill
+/// the column blocks. A block's rows can straddle segments, so every
+/// segment's share is copied column by column (one memcpy per column
+/// run), folding the source zone map as it goes.
+std::uint64_t write_fde1(std::uint32_t sampling_rate, std::int64_t start_day,
+                         std::int64_t end_day,
+                         const std::vector<Fde1Segment>& segments,
+                         const detail::Sink& sink, std::uint64_t block_flows) {
   std::uint64_t n = 0;
   validate_segments(start_day, end_day, segments, n);
 
-  const std::uint64_t b = block_flows;
-  const std::uint64_t block_count = n == 0 ? 0 : (n + b - 1) / b;
-  const std::uint64_t footer_offset = kFde1HeaderBytes + total_block_bytes(n, b);
-
-  std::vector<std::uint8_t> header;
-  header.reserve(kFde1HeaderBytes);
-  header.insert(header.end(), kMagic, kMagic + 4);
-  std::vector<std::uint8_t> fields;
-  fields.reserve(32);
-  detail::append<std::uint64_t>(fields, sampling_rate);
-  detail::append<std::uint64_t>(fields, n);
-  detail::append<std::uint64_t>(fields, b);
-  detail::append<std::uint64_t>(fields, footer_offset);
-  detail::append<std::uint32_t>(header, net::Crc32::of({fields.data(), 32}));
-  header.insert(header.end(), fields.begin(), fields.end());
-  sink(header.data(), header.size());
-
-  // Column blocks over the concatenated segment rows. Each block buffer is
-  // sized once; a block's rows can straddle segments, so every segment's
-  // share is copied column by column (one memcpy per column run) straight
-  // to its FlowColumnLayout offset, folding the source zone map as it goes.
-  std::vector<FlowBlockInfo> infos;
-  infos.reserve(static_cast<std::size_t>(block_count));
-  std::vector<std::uint8_t> buf;
-  std::size_t seg = 0;       // segment the next row comes from
-  std::size_t seg_row = 0;   // row within that segment
-  std::uint64_t offset = kFde1HeaderBytes;
-  for (std::uint64_t k = 0; k < block_count; ++k) {
-    const std::uint64_t rows = std::min(b, n - k * b);
+  std::size_t seg = 0;      // segment the next row comes from
+  std::size_t seg_row = 0;  // row within that segment
+  const auto fill = [&](std::uint64_t, std::uint64_t rows, std::uint8_t* base,
+                        std::vector<std::uint8_t>& metas) {
     const detail::FlowColumnLayout at(rows);
-    buf.resize(static_cast<std::size_t>(fde1_block_bytes(rows)));
-    std::uint8_t* const base = buf.data();
-    std::fill(base + at.proto + rows, base + buf.size(), std::uint8_t{0});  // pad
-
-    FlowBlockInfo info;
-    info.offset = offset;
-    info.min_src = std::numeric_limits<std::uint32_t>::max();
+    std::uint32_t min_src = std::numeric_limits<std::uint32_t>::max();
+    std::uint32_t max_src = 0;
     for (std::uint64_t filled = 0; filled < rows;) {
       while (seg_row >= segments[seg].rows.size()) {
         ++seg;
@@ -182,77 +124,54 @@ std::uint64_t write_flows_fde1_impl(std::uint32_t sampling_rate,
       copy(at.proto, from.proto_col());
       const std::uint32_t* srcs = from.src_col().data() + seg_row;
       const auto [lo, hi] = std::minmax_element(srcs, srcs + take);
-      info.min_src = std::min(info.min_src, *lo);
-      info.max_src = std::max(info.max_src, *hi);
+      min_src = std::min(min_src, *lo);
+      max_src = std::max(max_src, *hi);
       filled += take;
       seg_row += take;
     }
-    info.crc = net::Crc32::of({buf.data(), buf.size()});
-    infos.push_back(info);
-    sink(buf.data(), buf.size());
-    offset += buf.size();
-  }
+    detail::append<std::uint32_t>(metas, min_src);
+    detail::append<std::uint32_t>(metas, max_src);
+  };
 
-  // Footer: window + segment index + zone maps + block CRCs, CRC-sealed.
-  std::vector<std::uint8_t> footer;
-  detail::append<std::int64_t>(footer, start_day);
-  detail::append<std::int64_t>(footer, end_day);
-  detail::append<std::uint64_t>(footer, segments.size());
-  detail::append<std::uint64_t>(footer, block_count);
-  std::uint64_t row_begin = 0;
-  for (const Fde1Segment& s : segments) {
-    detail::append<std::uint64_t>(footer, s.router);
-    detail::append<std::int64_t>(footer, s.day);
-    detail::append<std::uint64_t>(footer, row_begin);
-    detail::append<std::uint64_t>(footer, s.total_packets);
-    detail::append<std::uint64_t>(footer, s.user_packets);
-    detail::append<std::uint64_t>(footer, s.scanner_packets);
-    row_begin += s.rows.size();
-  }
-  for (const FlowBlockInfo& info : infos) {
-    detail::append<std::uint64_t>(footer, info.offset);
-    detail::append<std::uint32_t>(footer, info.min_src);
-    detail::append<std::uint32_t>(footer, info.max_src);
-  }
-  for (const FlowBlockInfo& info : infos) {
-    detail::append<std::uint32_t>(footer, info.crc);
-  }
-  detail::append<std::uint32_t>(footer,
-                                net::Crc32::of({footer.data(), footer.size()}));
-  sink(footer.data(), footer.size());
-  return footer_offset + footer.size();
+  // Segment index: (router, day, row_begin, totals) per cell.
+  const auto segment_index = [&segments](std::vector<std::uint8_t>& footer) {
+    std::uint64_t row_begin = 0;
+    for (const Fde1Segment& s : segments) {
+      detail::append<std::uint64_t>(footer, s.router);
+      detail::append<std::int64_t>(footer, s.day);
+      detail::append<std::uint64_t>(footer, row_begin);
+      detail::append<std::uint64_t>(footer, s.total_packets);
+      detail::append<std::uint64_t>(footer, s.user_packets);
+      detail::append<std::uint64_t>(footer, s.scanner_packets);
+      row_begin += s.rows.size();
+    }
+  };
+  return detail::write_container(
+      detail::kFde1, sink, sampling_rate, n, block_flows, fill,
+      {start_day, end_day, segments.size(), segment_index});
 }
+
+}  // namespace
 
 std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
                                std::int64_t start_day, std::int64_t end_day,
                                const std::vector<Fde1Segment>& segments,
                                std::ostream& out, std::uint64_t block_flows) {
-  const std::uint64_t bytes = write_flows_fde1_impl(
-      sampling_rate, start_day, end_day, segments,
-      [&out](const std::uint8_t* p, std::size_t m) {
-        out.write(reinterpret_cast<const char*>(p),
-                  static_cast<std::streamsize>(m));
-        if (!out) {
-          throw std::runtime_error(
-              "fde1 store: stream write failure (bad/fail state)");
-        }
-      },
-      block_flows);
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("fde1 store: stream flush failure");
-  }
-  return bytes;
+  return detail::write_to_stream(
+      detail::kFde1, out, [&](const detail::Sink& sink) {
+        return write_fde1(sampling_rate, start_day, end_day, segments, sink,
+                          block_flows);
+      });
 }
 
 std::uint64_t write_flows_fde1(std::uint32_t sampling_rate,
                                std::int64_t start_day, std::int64_t end_day,
                                const std::vector<Fde1Segment>& segments,
                                net::io::File& out, std::uint64_t block_flows) {
-  return write_flows_fde1_impl(
-      sampling_rate, start_day, end_day, segments,
-      [&out](const std::uint8_t* p, std::size_t m) { out.write(p, m); },
-      block_flows);
+  return detail::write_to_file(out, [&](const detail::Sink& sink) {
+    return write_fde1(sampling_rate, start_day, end_day, segments, sink,
+                      block_flows);
+  });
 }
 
 namespace {
@@ -299,11 +218,9 @@ std::uint64_t write_flows_fde1(const flowsim::FlowDataset& flows,
 std::uint64_t write_flows_fde1_file(const flowsim::FlowDataset& flows,
                                     const std::string& path,
                                     std::uint64_t block_flows) {
-  net::io::File out = net::io::File::create(path);
-  const std::uint64_t bytes = write_flows_fde1(flows, out, block_flows);
-  out.sync();
-  out.close();
-  return bytes;
+  return detail::write_to_path(path, [&](net::io::File& out) {
+    return write_flows_fde1(flows, out, block_flows);
+  });
 }
 
 std::uint64_t write_flows_fde1_file(std::uint32_t sampling_rate,
@@ -312,181 +229,58 @@ std::uint64_t write_flows_fde1_file(std::uint32_t sampling_rate,
                                     const std::vector<Fde1Segment>& segments,
                                     const std::string& path,
                                     std::uint64_t block_flows) {
-  net::io::File out = net::io::File::create(path);
-  const std::uint64_t bytes = write_flows_fde1(
-      sampling_rate, start_day, end_day, segments, out, block_flows);
-  out.sync();
-  out.close();
-  return bytes;
+  return detail::write_to_path(path, [&](net::io::File& out) {
+    return write_flows_fde1(sampling_rate, start_day, end_day, segments, out,
+                            block_flows);
+  });
 }
-
-namespace {
-
-/// Parsed, CRC-verified header fields (salvage-side; returns false with
-/// `error` set instead of throwing).
-struct FlowHeader {
-  std::uint64_t sampling_rate = 0;
-  std::uint64_t flow_count = 0;
-  std::uint64_t block_flows = 0;
-  std::uint64_t footer_offset = 0;
-};
-
-bool parse_flow_header(const std::vector<std::uint8_t>& bytes, FlowHeader& h,
-                       std::string& error) {
-  if (bytes.size() < kFde1HeaderBytes) {
-    error = "fde1 store: truncated header";
-    return false;
-  }
-  if (std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    error = "fde1 store: bad magic (not an FDE1 file)";
-    return false;
-  }
-  const std::uint32_t stored_crc = detail::get_u32(bytes.data() + 4);
-  if (net::Crc32::of({bytes.data() + 8, 32}) != stored_crc) {
-    error = "fde1 store: header CRC mismatch";
-    return false;
-  }
-  h.sampling_rate = detail::get_u64(bytes.data() + 8);
-  h.flow_count = detail::get_u64(bytes.data() + 16);
-  h.block_flows = detail::get_u64(bytes.data() + 24);
-  h.footer_offset = detail::get_u64(bytes.data() + 32);
-  if (h.flow_count > detail::kMaxFlowCount) {
-    error = "fde1 store: absurd flow count";
-    return false;
-  }
-  if (h.block_flows == 0 || h.block_flows > detail::kMaxBlockFlows) {
-    error = "fde1 store: absurd block size";
-    return false;
-  }
-  if (h.footer_offset !=
-      kFde1HeaderBytes + total_block_bytes(h.flow_count, h.block_flows)) {
-    error = "fde1 store: header geometry mismatch";
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 Fde1SalvageResult read_flows_fde1_salvage(const std::string& path) {
   Fde1SalvageResult result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    result.error = "fde1 store: cannot open " + path;
-    return result;
-  }
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
-
-  FlowHeader h;
-  if (!parse_flow_header(bytes, h, result.error)) {
-    return result;
-  }
-  result.sampling_rate = static_cast<std::uint32_t>(h.sampling_rate);
-  result.declared_count = h.flow_count;
-  const std::uint64_t n = h.flow_count;
-  const std::uint64_t b = h.block_flows;
-  const std::uint64_t block_count = n == 0 ? 0 : (n + b - 1) / b;
-
-  // Try the footer; its CRC decides whether per-block CRCs are usable and
-  // whether the segment index (row ranges + totals) can be trusted.
-  std::vector<std::uint32_t> block_crcs;
-  if (h.footer_offset + 32 <= bytes.size()) {
-    const std::uint8_t* f = bytes.data() + h.footer_offset;
-    const std::uint64_t segment_count = detail::get_u64(f + 16);
-    const std::uint64_t footer_blocks = detail::get_u64(f + 24);
-    const std::uint64_t footer_bytes =
-        32 + kFde1SegmentBytes * segment_count +
-        (kFde1BlockMetaBytes + 4) * footer_blocks + 4;
-    if (footer_blocks == block_count &&
-        segment_count <= detail::kMaxSegmentCount &&
-        h.footer_offset + footer_bytes == bytes.size()) {
-      const std::uint32_t stored =
-          detail::get_u32(bytes.data() + bytes.size() - 4);
-      if (net::Crc32::of({f, static_cast<std::size_t>(footer_bytes - 4)}) ==
-          stored) {
-        result.footer_intact = true;
-        result.start_day = detail::get_i64(f);
-        result.end_day = detail::get_i64(f + 8);
-        result.segments.resize(static_cast<std::size_t>(segment_count));
-        const std::uint8_t* cursor = f + 32;
-        for (std::uint64_t s = 0; s < segment_count;
-             ++s, cursor += kFde1SegmentBytes) {
-          FlowSegment& seg = result.segments[static_cast<std::size_t>(s)];
-          seg.router = static_cast<std::size_t>(detail::get_u64(cursor));
-          seg.day = detail::get_i64(cursor + 8);
-          seg.row_begin = detail::get_u64(cursor + 16);
-          seg.row_end = s + 1 < segment_count
-                            ? detail::get_u64(cursor + kFde1SegmentBytes + 16)
-                            : n;
-          seg.total_packets = detail::get_u64(cursor + 24);
-          seg.user_packets = detail::get_u64(cursor + 32);
-          seg.scanner_packets = detail::get_u64(cursor + 40);
-        }
-        cursor += kFde1BlockMetaBytes * block_count;
-        for (std::uint64_t k = 0; k < block_count; ++k, cursor += 4) {
-          block_crcs.push_back(detail::get_u32(cursor));
-        }
-      }
-    }
-  }
-
-  // Recover the prefix of complete, valid blocks (CRC-checked when the
-  // footer survived; order-validated against the global archive order
-  // when it did not — flow fields are total, so order is the structure).
-  result.complete = result.footer_intact;
-  RowOrderKey last{};
-  bool has_last = false;
-  std::uint64_t offset = kFde1HeaderBytes;
-  for (std::uint64_t k = 0; k < block_count; ++k) {
-    const std::uint64_t rows = std::min(b, n - k * b);
-    const std::uint64_t block_bytes = fde1_block_bytes(rows);
-    if (offset + block_bytes > bytes.size()) {
-      result.complete = false;
-      result.error = "fde1 store: truncated block " + std::to_string(k);
-      break;
-    }
-    const std::uint8_t* base = bytes.data() + offset;
-    if (result.footer_intact) {
-      if (net::Crc32::of({base, static_cast<std::size_t>(block_bytes)}) !=
-          block_crcs[static_cast<std::size_t>(k)]) {
-        result.complete = false;
-        result.error =
-            "fde1 store: block " + std::to_string(k) + " CRC mismatch";
-        break;
-      }
-    } else {
-      bool ordered = true;
-      RowOrderKey scan_last = last;
-      bool scan_has_last = has_last;
-      for (std::uint64_t i = 0; i < rows; ++i) {
-        const RowOrderKey key =
-            key_of(detail::decode_flow_row(base, rows, i));
-        if (scan_has_last && key < scan_last) {
-          ordered = false;
-          break;
-        }
-        scan_last = key;
-        scan_has_last = true;
-      }
-      if (!ordered) {
-        result.complete = false;
-        result.error =
-            "fde1 store: rows out of order in block " + std::to_string(k);
-        break;
-      }
-    }
-    for (std::uint64_t i = 0; i < rows; ++i) {
-      result.rows.push_back(detail::decode_flow_row(base, rows, i));
-    }
-    last = key_of(result.rows.record_at(result.rows.size() - 1));
-    has_last = true;
-    offset += block_bytes;
-  }
-  if (!result.footer_intact && result.error.empty()) {
-    result.error = "fde1 store: footer missing or corrupt";
-  }
+  std::optional<RowOrderKey> last;  // key of the last recovered row
+  const detail::SalvageOutcome out = detail::salvage(
+      detail::kFde1, path,
+      {.footer =
+           [&result](const detail::Header& h, const detail::Footer& f) {
+             std::vector<FlowSegment> segments;
+             std::vector<FlowBlockMeta> blocks;
+             const char* reason =
+                 detail::decode_fde1_footer(h, f, segments, blocks);
+             if (reason == nullptr) {
+               result.start_day = f.lo;
+               result.end_day = f.hi;
+               result.segments = std::move(segments);
+             }
+             return reason;
+           },
+       // Flow fields are total, so the global row order is the only
+       // structure unverified bytes have.
+       .valid =
+           [&last](const std::uint8_t* base, std::uint64_t rows) {
+             const FlowView view = detail::fde1_view(base, rows, 0);
+             std::optional<RowOrderKey> prev = last;
+             for (std::size_t i = 0; i < view.rows(); ++i) {
+               const RowOrderKey key = key_of(view.record(i));
+               if (prev && key < *prev) return false;
+               prev = key;
+             }
+             return true;
+           },
+       .invalid = "rows out of order in block ",
+       .take =
+           [&](const std::uint8_t* base, std::uint64_t rows) {
+             const FlowView view = detail::fde1_view(base, rows, 0);
+             for (std::size_t i = 0; i < view.rows(); ++i) {
+               result.rows.push_back(view.record(i));
+             }
+             last = key_of(view.record(view.rows() - 1));
+           }});
+  result.sampling_rate = static_cast<std::uint32_t>(out.header.tag);
+  result.declared_count = out.header.rows;
   result.recovered_count = result.rows.size();
+  result.footer_intact = out.footer_intact;
+  result.complete = out.complete;
+  result.error = out.error;
   return result;
 }
 
@@ -498,7 +292,7 @@ std::string sniff_flow_format(const std::string& path) {
   char head[64] = {};
   in.read(head, sizeof(head));
   const auto got = static_cast<std::size_t>(in.gcount());
-  if (got >= 4 && std::memcmp(head, kMagic, 4) == 0) return "FDE1";
+  if (got >= 4 && std::memcmp(head, detail::kFde1.magic, 4) == 0) return "FDE1";
   // NetFlow v5 export packets start with the big-endian version field.
   if (got >= 2 && head[0] == 0 && head[1] == 5) return "NFV5";
   // CSV: printable text (the header line) all the way through the probe.

@@ -1,15 +1,36 @@
-// Internal FDE1 byte-layout helpers shared by the writer (fde1.cpp) and
-// the mapped reader (mapped_flow.cpp). Not installed. The flow-side
-// sibling of layout.hpp; the little-endian zero-copy contract asserted
-// there covers these views too (both headers are store-internal).
+// Internal FDE1 pieces shared by the writer and salvage (fde1.cpp) and
+// the strict reader (mapped_flow.cpp): the format's container parameters,
+// its column layout, the block view and the footer index decode. Not
+// installed. The flow-side sibling of layout.hpp.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "layout.hpp"
-#include "orion/flowsim/flow_batch.hpp"
+#include "container.hpp"
+#include "orion/store/mapped_flow.hpp"
 
 namespace orion::store::detail {
+
+constexpr std::uint64_t kMaxFlowCount = std::uint64_t{1} << 27;
+constexpr std::uint64_t kMaxBlockFlows = std::uint64_t{1} << 24;
+constexpr std::uint64_t kMaxSegmentCount = std::uint64_t{1} << 22;
+
+/// FDE1 in the container: one segment entry per (router, day) cell.
+inline constexpr Container kFde1{{'F', 'D', 'E', '1'},
+                                 "fde1 store: ",
+                                 "bad magic (not an FDE1 file)",
+                                 "absurd flow count",
+                                 "absurd segment count",
+                                 &fde1_block_bytes,
+                                 kMaxFlowCount,
+                                 kMaxBlockFlows,
+                                 kFde1SegmentBytes,
+                                 0,
+                                 kMaxSegmentCount,
+                                 kFde1BlockMetaBytes};
+
+static_assert(kFde1HeaderBytes == kHeaderBytes);
 
 /// Byte offsets of each flow column inside a block of `m` rows. Widest
 /// columns first so every 8-byte column starts 8-aligned; the u32/u16/u8
@@ -31,34 +52,6 @@ struct FlowColumnLayout {
         proto(38 * m) {}
 };
 
-/// Gathers row `i` of a block at `base` holding `m` rows into a full
-/// FlowRecord. Reads unverified bytes in salvage — every field is total
-/// (any byte pattern is a value), so no per-field validation is needed;
-/// salvage validates row ORDER instead (see fde1.cpp).
-inline flowsim::FlowRecord decode_flow_row(const std::uint8_t* base,
-                                           std::uint64_t m, std::uint64_t i) {
-  const FlowColumnLayout at(m);
-  flowsim::FlowRecord r;
-  r.ts_ns = get_i64(base + at.ts + 8 * i);
-  r.packets = get_u64(base + at.packets + 8 * i);
-  r.bytes = get_u64(base + at.bytes + 8 * i);
-  r.src = net::Ipv4Address(get_u32(base + at.src + 4 * i));
-  r.dst = net::Ipv4Address(get_u32(base + at.dst + 4 * i));
-  std::uint16_t u16;
-  std::memcpy(&u16, base + at.src_port + 2 * i, 2);
-  r.src_port = u16;
-  std::memcpy(&u16, base + at.dst_port + 2 * i, 2);
-  r.dst_port = u16;
-  std::memcpy(&u16, base + at.router + 2 * i, 2);
-  r.router = u16;
-  r.proto = base[at.proto + i];
-  return r;
-}
-
-constexpr std::uint64_t kMaxFlowCount = std::uint64_t{1} << 27;
-constexpr std::uint64_t kMaxBlockFlows = std::uint64_t{1} << 24;
-constexpr std::uint64_t kMaxSegmentCount = std::uint64_t{1} << 22;
-
 constexpr std::int64_t kNanosPerDay = std::int64_t{86'400'000'000'000};
 
 /// Day bucket of a flow timestamp — the same truncating division
@@ -66,5 +59,16 @@ constexpr std::int64_t kNanosPerDay = std::int64_t{86'400'000'000'000};
 constexpr std::int64_t flow_day_of(std::int64_t ts_ns) {
   return ts_ns / kNanosPerDay;
 }
+
+/// Typed spans over the `rows` rows of the 8-aligned block at `base`.
+FlowView fde1_view(const std::uint8_t* base, std::uint64_t rows,
+                   std::size_t first_row);
+
+/// Decodes the footer's window, segment index and zone maps; nullptr
+/// when they are consistent with the header, else why not. The strict
+/// open throws on the reason; salvage treats the footer as lost.
+const char* decode_fde1_footer(const Header& h, const Footer& f,
+                               std::vector<FlowSegment>& segments,
+                               std::vector<FlowBlockMeta>& blocks);
 
 }  // namespace orion::store::detail

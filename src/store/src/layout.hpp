@@ -1,53 +1,36 @@
-// Internal ODE2 byte-layout helpers shared by the writer (ode2.cpp) and
-// the mapped reader (mapped.cpp). Not installed.
+// Internal ODE2 pieces shared by the writer and salvage (ode2.cpp) and
+// the strict reader (mapped.cpp): the format's container parameters, its
+// column layout, the block view and the footer index decode. Not
+// installed.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
-#include "orion/telescope/event.hpp"
+#include "container.hpp"
+#include "orion/store/mapped.hpp"
 
 namespace orion::store::detail {
 
-// The zero-copy contract: column bytes are reinterpreted as host
-// integers, so the on-disk little-endian layout must be the host layout.
-// (The portable fallback in mapped.cpp covers hosts without mmap, not
-// big-endian hosts — those would need a byte-swapping decode pass.)
-static_assert(std::endian::native == std::endian::little,
-              "ODE2 zero-copy reads require a little-endian host");
+constexpr std::uint64_t kMaxEventCount = std::uint64_t{1} << 27;  // ~ ODE1's cap
+constexpr std::uint64_t kMaxBlockEvents = std::uint64_t{1} << 24;
 
-inline std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
+/// ODE2 in the container: a day_start entry per day plus one, day_count
+/// bounded like the event count.
+inline constexpr Container kOde2{{'O', 'D', 'E', '2'},
+                                 "ode2 store: ",
+                                 "bad magic (not an ODE2 file)",
+                                 "absurd event count",
+                                 "absurd day count",
+                                 &ode2_block_bytes,
+                                 kMaxEventCount,
+                                 kMaxBlockEvents,
+                                 8,
+                                 1,
+                                 kMaxEventCount,
+                                 kOde2BlockMetaBytes};
 
-inline std::int64_t get_i64(const std::uint8_t* p) {
-  std::int64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
-inline std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
-template <typename T>
-void append(std::vector<std::uint8_t>& out, T v) {
-  const std::size_t at = out.size();
-  out.resize(at + sizeof(T));
-  std::memcpy(out.data() + at, &v, sizeof(T));
-}
-
-/// Stores `v` at `p` in host (= on-disk little-endian) byte order.
-template <typename T>
-void put(std::uint8_t* p, T v) {
-  std::memcpy(p, &v, sizeof(T));
-}
+static_assert(kOde2HeaderBytes == kHeaderBytes);
 
 /// Byte offsets of each column inside a block of `m` rows — the one
 /// layout definition the writer fills and every reader decodes.
@@ -65,29 +48,16 @@ struct ColumnLayout {
         type(70 * m) {}
 };
 
-/// Gathers row `i` of a block at `base` holding `m` rows into a full
-/// DarknetEvent. Does NOT validate the traffic type — callers that read
-/// unverified bytes (salvage) must check it first.
-inline telescope::DarknetEvent decode_row(const std::uint8_t* base,
-                                          std::uint64_t m, std::uint64_t i) {
-  const ColumnLayout at(m);
-  telescope::DarknetEvent e;
-  e.key.src = net::Ipv4Address(get_u32(base + at.src + 4 * i));
-  std::uint16_t port;
-  std::memcpy(&port, base + at.port + 2 * i, 2);
-  e.key.dst_port = port;
-  e.key.type = static_cast<pkt::TrafficType>(base[at.type + i]);
-  e.start = net::SimTime::at(net::Duration::nanos(get_i64(base + at.start + 8 * i)));
-  e.end = net::SimTime::at(net::Duration::nanos(get_i64(base + at.end + 8 * i)));
-  e.packets = get_u64(base + at.packets + 8 * i);
-  e.unique_dests = get_u64(base + at.dests + 8 * i);
-  for (std::size_t t = 0; t < e.packets_by_tool.size(); ++t) {
-    e.packets_by_tool[t] = get_u64(base + at.tool[t] + 8 * i);
-  }
-  return e;
-}
+/// Typed spans over the `rows` rows of the 8-aligned block at `base`.
+BlockView ode2_view(const std::uint8_t* base, std::uint64_t rows,
+                    std::size_t first_row);
 
-constexpr std::uint64_t kMaxEventCount = std::uint64_t{1} << 27;  // ~ ODE1's cap
-constexpr std::uint64_t kMaxBlockEvents = std::uint64_t{1} << 24;
+/// Decodes the footer's window, day index and zone maps; nullptr when
+/// they are consistent with the header, else why not. The strict open
+/// throws on the reason; salvage treats the footer as lost.
+const char* decode_ode2_footer(const Header& h, const Footer& f,
+                               std::int64_t& first_day, std::int64_t& last_day,
+                               std::vector<std::uint64_t>& day_start,
+                               std::vector<BlockMeta>& blocks);
 
 }  // namespace orion::store::detail

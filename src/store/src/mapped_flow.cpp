@@ -1,33 +1,11 @@
 #include "orion/store/mapped_flow.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <stdexcept>
 #include <tuple>
 
 #include "flow_layout.hpp"
-#include "orion/netbase/crc32.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define ORION_STORE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define ORION_STORE_HAVE_MMAP 0
-#endif
 
 namespace orion::store {
-
-namespace {
-
-[[noreturn]] void fail(const std::string& what) {
-  throw std::runtime_error("fde1 store: " + what);
-}
-
-}  // namespace
 
 flowsim::FlowRecord FlowView::record(std::size_t i) const {
   flowsim::FlowRecord r;
@@ -43,205 +21,14 @@ flowsim::FlowRecord FlowView::record(std::size_t i) const {
   return r;
 }
 
-MappedFlowStore::MappedFlowStore(const std::string& path) {
-#if ORION_STORE_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st{};
-    if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-      void* map = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                         PROT_READ, MAP_PRIVATE, fd, 0);
-      if (map != MAP_FAILED) {
-        data_ = static_cast<const std::uint8_t*>(map);
-        size_ = static_cast<std::uint64_t>(st.st_size);
-        mapped_ = true;
-      }
-    }
-    ::close(fd);
-  }
-#endif
-  if (!mapped_) {
-    // Portable fallback: the whole file in an 8-aligned heap buffer, so
-    // the span views work identically (just without demand paging).
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) fail("cannot open " + path);
-    const std::streamoff bytes = in.tellg();
-    in.seekg(0);
-    fallback_.resize(static_cast<std::size_t>((bytes + 7) / 8), 0);
-    if (bytes > 0 &&
-        !in.read(reinterpret_cast<char*>(fallback_.data()), bytes)) {
-      fail("short read of " + path);
-    }
-    data_ = reinterpret_cast<const std::uint8_t*>(fallback_.data());
-    size_ = static_cast<std::uint64_t>(bytes);
-  }
+namespace detail {
 
-  try {
-    if (size_ < kFde1HeaderBytes) fail("truncated header");
-    if (std::memcmp(data_, "FDE1", 4) != 0) {
-      fail("bad magic (not an FDE1 file)");
-    }
-    if (net::Crc32::of({data_ + 8, 32}) != detail::get_u32(data_ + 4)) {
-      fail("header CRC mismatch");
-    }
-    sampling_rate_ = static_cast<std::uint32_t>(detail::get_u64(data_ + 8));
-    flow_count_ = detail::get_u64(data_ + 16);
-    block_flows_ = detail::get_u64(data_ + 24);
-    const std::uint64_t footer_offset = detail::get_u64(data_ + 32);
-    if (flow_count_ > detail::kMaxFlowCount) fail("absurd flow count");
-    if (block_flows_ == 0 || block_flows_ > detail::kMaxBlockFlows) {
-      fail("absurd block size");
-    }
-    const std::uint64_t n = flow_count_;
-    const std::uint64_t b = block_flows_;
-    const std::uint64_t block_count = n == 0 ? 0 : (n + b - 1) / b;
-    std::uint64_t expected = kFde1HeaderBytes;
-    for (std::uint64_t k = 0; k < block_count; ++k) {
-      expected += fde1_block_bytes(std::min(b, n - k * b));
-    }
-    if (footer_offset != expected) fail("header geometry mismatch");
-    if (footer_offset + 32 + 4 > size_) fail("truncated footer");
-
-    const std::uint8_t* f = data_ + footer_offset;
-    start_day_ = detail::get_i64(f);
-    end_day_ = detail::get_i64(f + 8);
-    const std::uint64_t segment_count = detail::get_u64(f + 16);
-    const std::uint64_t footer_blocks = detail::get_u64(f + 24);
-    if (footer_blocks != block_count) fail("corrupt block count");
-    if (start_day_ > end_day_) fail("corrupt day window");
-    if (segment_count > detail::kMaxSegmentCount) fail("absurd segment count");
-    const std::uint64_t footer_bytes =
-        32 + kFde1SegmentBytes * segment_count +
-        (kFde1BlockMetaBytes + 4) * block_count + 4;
-    if (footer_offset + footer_bytes != size_) fail("truncated footer");
-    if (net::Crc32::of({f, static_cast<std::size_t>(footer_bytes - 4)}) !=
-        detail::get_u32(data_ + size_ - 4)) {
-      fail("footer CRC mismatch");
-    }
-
-    segments_.resize(static_cast<std::size_t>(segment_count));
-    const std::uint8_t* cursor = f + 32;
-    for (std::uint64_t s = 0; s < segment_count;
-         ++s, cursor += kFde1SegmentBytes) {
-      FlowSegment& seg = segments_[static_cast<std::size_t>(s)];
-      seg.router = static_cast<std::size_t>(detail::get_u64(cursor));
-      seg.day = detail::get_i64(cursor + 8);
-      seg.row_begin = detail::get_u64(cursor + 16);
-      seg.row_end = s + 1 < segment_count
-                        ? detail::get_u64(cursor + kFde1SegmentBytes + 16)
-                        : n;
-      seg.total_packets = detail::get_u64(cursor + 24);
-      seg.user_packets = detail::get_u64(cursor + 32);
-      seg.scanner_packets = detail::get_u64(cursor + 40);
-      if (seg.day < start_day_ || seg.day >= end_day_) {
-        fail("corrupt segment index (day outside window)");
-      }
-      if (seg.row_begin > seg.row_end || seg.row_end > n) {
-        fail("corrupt segment index (bad row range)");
-      }
-      if (s > 0) {
-        const FlowSegment& prev = segments_[static_cast<std::size_t>(s - 1)];
-        if (std::tie(prev.router, prev.day) >= std::tie(seg.router, seg.day)) {
-          fail("corrupt segment index (unordered)");
-        }
-      }
-    }
-    if (!segments_.empty() &&
-        (segments_.front().row_begin != 0 || segments_.back().row_end != n)) {
-      fail("corrupt segment index (row coverage)");
-    }
-    if (segments_.empty() && n != 0) {
-      fail("corrupt segment index (rows without segments)");
-    }
-
-    blocks_.resize(static_cast<std::size_t>(block_count));
-    std::uint64_t offset = kFde1HeaderBytes;
-    for (std::uint64_t k = 0; k < block_count;
-         ++k, cursor += kFde1BlockMetaBytes) {
-      FlowBlockMeta& meta = blocks_[static_cast<std::size_t>(k)];
-      meta.offset = detail::get_u64(cursor);
-      meta.min_src = detail::get_u32(cursor + 8);
-      meta.max_src = detail::get_u32(cursor + 12);
-      if (meta.offset != offset || meta.min_src > meta.max_src) {
-        fail("corrupt block metadata");
-      }
-      offset += fde1_block_bytes(std::min(b, n - k * b));
-    }
-    for (std::uint64_t k = 0; k < block_count; ++k, cursor += 4) {
-      blocks_[static_cast<std::size_t>(k)].crc = detail::get_u32(cursor);
-    }
-  } catch (...) {
-    close();
-    throw;
-  }
-}
-
-MappedFlowStore::~MappedFlowStore() { close(); }
-
-void MappedFlowStore::close() noexcept {
-#if ORION_STORE_HAVE_MMAP
-  if (mapped_ && data_ != nullptr) {
-    ::munmap(const_cast<std::uint8_t*>(data_), static_cast<std::size_t>(size_));
-  }
-#endif
-  data_ = nullptr;
-  size_ = 0;
-  mapped_ = false;
-  fallback_.clear();
-}
-
-MappedFlowStore::MappedFlowStore(MappedFlowStore&& other) noexcept
-    : data_(other.data_),
-      size_(other.size_),
-      mapped_(other.mapped_),
-      fallback_(std::move(other.fallback_)),
-      sampling_rate_(other.sampling_rate_),
-      flow_count_(other.flow_count_),
-      block_flows_(other.block_flows_),
-      start_day_(other.start_day_),
-      end_day_(other.end_day_),
-      segments_(std::move(other.segments_)),
-      blocks_(std::move(other.blocks_)) {
-  if (!mapped_ && !fallback_.empty()) {
-    data_ = reinterpret_cast<const std::uint8_t*>(fallback_.data());
-  }
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-}
-
-MappedFlowStore& MappedFlowStore::operator=(MappedFlowStore&& other) noexcept {
-  if (this == &other) return *this;
-  close();
-  data_ = other.data_;
-  size_ = other.size_;
-  mapped_ = other.mapped_;
-  fallback_ = std::move(other.fallback_);
-  sampling_rate_ = other.sampling_rate_;
-  flow_count_ = other.flow_count_;
-  block_flows_ = other.block_flows_;
-  start_day_ = other.start_day_;
-  end_day_ = other.end_day_;
-  segments_ = std::move(other.segments_);
-  blocks_ = std::move(other.blocks_);
-  if (!mapped_ && !fallback_.empty()) {
-    data_ = reinterpret_cast<const std::uint8_t*>(fallback_.data());
-  }
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-  return *this;
-}
-
-FlowView MappedFlowStore::block(std::size_t k) const {
-  const std::uint64_t rows = std::min<std::uint64_t>(
-      block_flows_,
-      flow_count_ - static_cast<std::uint64_t>(k) * block_flows_);
-  const std::uint8_t* base = data_ + blocks_[k].offset;
-  const detail::FlowColumnLayout at(rows);
+FlowView fde1_view(const std::uint8_t* base, std::uint64_t rows,
+                   std::size_t first_row) {
+  const FlowColumnLayout at(rows);
   const auto m = static_cast<std::size_t>(rows);
   FlowView view;
-  view.first_row = k * static_cast<std::size_t>(block_flows_);
+  view.first_row = first_row;
   view.ts_ns = {reinterpret_cast<const std::int64_t*>(base + at.ts), m};
   view.packets = {reinterpret_cast<const std::uint64_t*>(base + at.packets), m};
   view.bytes = {reinterpret_cast<const std::uint64_t*>(base + at.bytes), m};
@@ -252,6 +39,77 @@ FlowView MappedFlowStore::block(std::size_t k) const {
   view.router = {reinterpret_cast<const std::uint16_t*>(base + at.router), m};
   view.proto = {base + at.proto, m};
   return view;
+}
+
+const char* decode_fde1_footer(const Header& h, const Footer& f,
+                               std::vector<FlowSegment>& segments,
+                               std::vector<FlowBlockMeta>& blocks) {
+  if (!fde1_window_valid(f.lo, f.hi)) return "corrupt day window";
+  const std::uint64_t n = h.rows;
+  segments.resize(static_cast<std::size_t>(f.index_count));
+  for (std::size_t s = 0; s < segments.size(); ++s) {
+    const std::uint8_t* entry = f.index + kFde1SegmentBytes * s;
+    FlowSegment& seg = segments[s];
+    seg.router = static_cast<std::size_t>(get_u64(entry));
+    seg.day = get_i64(entry + 8);
+    seg.row_begin = get_u64(entry + 16);
+    seg.row_end =
+        s + 1 < segments.size() ? get_u64(entry + kFde1SegmentBytes + 16) : n;
+    seg.total_packets = get_u64(entry + 24);
+    seg.user_packets = get_u64(entry + 32);
+    seg.scanner_packets = get_u64(entry + 40);
+    if (seg.day < f.lo || seg.day >= f.hi) {
+      return "corrupt segment index (day outside window)";
+    }
+    if (seg.row_begin > seg.row_end || seg.row_end > n) {
+      return "corrupt segment index (bad row range)";
+    }
+    if (s > 0 && std::tie(segments[s - 1].router, segments[s - 1].day) >=
+                     std::tie(seg.router, seg.day)) {
+      return "corrupt segment index (unordered)";
+    }
+  }
+  if (!segments.empty() && segments.front().row_begin != 0) {
+    return "corrupt segment index (row coverage)";
+  }
+  if (segments.empty() && n != 0) {
+    return "corrupt segment index (rows without segments)";
+  }
+  blocks.resize(static_cast<std::size_t>(h.block_count()));
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    const std::uint8_t* zone = f.zone(kFde1, k);
+    FlowBlockMeta& meta = blocks[k];
+    meta.offset = block_offset(kFde1, h, k);
+    meta.min_src = get_u32(zone);
+    meta.max_src = get_u32(zone + 4);
+    meta.crc = get_u32(f.crcs + 4 * k);
+    if (meta.min_src > meta.max_src) return "corrupt block metadata";
+  }
+  return nullptr;
+}
+
+}  // namespace detail
+
+MappedFlowStore::MappedFlowStore(const std::string& path)
+    : file_(path, detail::kFde1.prefix) {
+  detail::Header h;
+  const detail::Footer f = detail::open_strict(detail::kFde1, file_, h);
+  sampling_rate_ = static_cast<std::uint32_t>(h.tag);
+  flow_count_ = h.rows;
+  block_flows_ = h.block_rows;
+  start_day_ = f.lo;
+  end_day_ = f.hi;
+  if (const char* reason =
+          detail::decode_fde1_footer(h, f, segments_, blocks_)) {
+    detail::fail(detail::kFde1, reason);
+  }
+}
+
+FlowView MappedFlowStore::block(std::size_t k) const {
+  return detail::fde1_view(
+      file_.data() + blocks_[k].offset,
+      detail::rows_in_block(flow_count_, block_flows_, k),
+      k * static_cast<std::size_t>(block_flows_));
 }
 
 const FlowSegment* MappedFlowStore::segment(std::size_t router,
@@ -275,21 +133,12 @@ std::pair<std::uint64_t, std::uint64_t> MappedFlowStore::row_range(
 }
 
 std::size_t MappedFlowStore::verify_blocks() const {
-  for (std::size_t k = 0; k < blocks_.size(); ++k) {
-    const std::uint64_t rows = std::min<std::uint64_t>(
-        block_flows_,
-        flow_count_ - static_cast<std::uint64_t>(k) * block_flows_);
-    const std::uint64_t bytes = fde1_block_bytes(rows);
-    if (net::Crc32::of({data_ + blocks_[k].offset,
-                        static_cast<std::size_t>(bytes)}) != blocks_[k].crc) {
-      return k;
-    }
-  }
-  return blocks_.size();
+  return detail::first_bad_block(detail::kFde1, file_, flow_count_,
+                                 block_flows_, blocks_);
 }
 
 flowsim::FlowRecord MappedFlowStore::record(std::uint64_t row) const {
-  if (row >= flow_count_) fail("flow index out of range");
+  if (row >= flow_count_) detail::fail(detail::kFde1, "flow index out of range");
   const auto k = static_cast<std::size_t>(row / block_flows_);
   return block(k).record(static_cast<std::size_t>(row % block_flows_));
 }
@@ -315,7 +164,8 @@ flowsim::FlowDataset MappedFlowStore::to_dataset() const {
       flowsim::kRouterCount, std::vector<flowsim::RouterDay>(days));
   for (const FlowSegment& seg : segments_) {
     if (seg.router >= flowsim::kRouterCount) {
-      fail("to_dataset: segment router outside the paper topology");
+      detail::fail(detail::kFde1,
+                   "to_dataset: segment router outside the paper topology");
     }
     flowsim::RouterDay& rd =
         table[seg.router][static_cast<std::size_t>(seg.day - start_day_)];

@@ -1,88 +1,49 @@
 #include "orion/store/ode2.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
-#include <ostream>
 #include <stdexcept>
 #include <vector>
 
 #include "layout.hpp"
-#include "orion/netbase/crc32.hpp"
-#include "orion/store/mapped.hpp"
 #include "orion/telescope/store.hpp"
 
 namespace orion::store {
 
 namespace {
 
-constexpr char kMagic[4] = {'O', 'D', 'E', '2'};
-
-std::uint64_t total_block_bytes(std::uint64_t n, std::uint64_t b) {
-  if (n == 0) return 0;
-  const std::uint64_t full = n / b;
-  const std::uint64_t rest = n % b;
-  return full * ode2_block_bytes(b) + (rest ? ode2_block_bytes(rest) : 0);
-}
-
-}  // namespace
-
-/// Shared writer core over a `sink(ptr, bytes)` callable; the public
-/// overloads adapt it to ostreams (with fail-state checks after every
-/// write — a dead stream must not keep silently truncating) and to the
-/// failpoint-instrumented io::File seam.
-template <typename Sink>
-std::uint64_t write_events_ode2_impl(const telescope::EventDataset& dataset,
-                                     Sink&& sink,
-                                     std::uint64_t block_events) {
-  if (block_events == 0 || block_events > detail::kMaxBlockEvents) {
-    throw std::invalid_argument("ode2 store: bad block size");
-  }
-  // EventDataset holds its events in (start, key) order, so start days
-  // never decrease: the day index and block day bounds rely on it.
+/// The ODE2 body over any sink. EventDataset holds its events in
+/// (start, key) order, so start days never decrease: each block's first
+/// and last rows are its day bounds and each day is one row range.
+std::uint64_t write_ode2(const telescope::EventDataset& dataset,
+                         const detail::Sink& sink, std::uint64_t block_events) {
   const auto& events = dataset.events();
-  const std::uint64_t n = events.size();
-
-  const std::uint64_t b = block_events;
-  const std::uint64_t block_count = n == 0 ? 0 : (n + b - 1) / b;
-  const std::uint64_t footer_offset =
-      kOde2HeaderBytes + total_block_bytes(n, b);
-
-  // Header: magic, CRC over the 32 field bytes, then the fields —
-  // assembled in memory and emitted as one write.
-  std::vector<std::uint8_t> header;
-  header.reserve(kOde2HeaderBytes);
-  header.insert(header.end(), kMagic, kMagic + 4);
-  std::vector<std::uint8_t> fields;
-  fields.reserve(32);
-  detail::append<std::uint64_t>(fields, dataset.darknet_size());
-  detail::append<std::uint64_t>(fields, n);
-  detail::append<std::uint64_t>(fields, b);
-  detail::append<std::uint64_t>(fields, footer_offset);
-  detail::append<std::uint32_t>(header, net::Crc32::of({fields.data(), 32}));
-  header.insert(header.end(), fields.begin(), fields.end());
-  sink(header.data(), header.size());
-
-  // Column blocks, each assembled in memory for one write + one CRC: the
-  // buffer is sized once per block and one row loop fills every column at
-  // its ColumnLayout offset while folding the source zone map. Start order
-  // makes the block's first and last rows its day bounds.
-  std::vector<BlockMeta> metas;
-  metas.reserve(static_cast<std::size_t>(block_count));
-  std::vector<std::uint8_t> buf;
-  std::uint64_t offset = kOde2HeaderBytes;
-  for (std::uint64_t k = 0; k < block_count; ++k) {
-    const std::uint64_t lo = k * b;
-    const std::uint64_t m = std::min(n, lo + b) - lo;
+  const std::int64_t first_day = events.empty() ? 0 : dataset.first_day();
+  const std::int64_t last_day = events.empty() ? -1 : dataset.last_day();
+  const auto day_count = static_cast<std::uint64_t>(last_day - first_day + 1);
+  // day_start[0] = 0, then day_start[d + 1]: rows starting on or before
+  // day first_day + d, found by binary search over the start order.
+  const auto day_index = [&](std::vector<std::uint8_t>& footer) {
+    detail::append<std::uint64_t>(footer, 0);
+    auto cursor = events.begin();
+    for (std::uint64_t d = 0; d < day_count; ++d) {
+      const std::int64_t day = first_day + static_cast<std::int64_t>(d);
+      cursor = std::partition_point(
+          cursor, events.end(),
+          [day](const telescope::DarknetEvent& e) { return e.day() <= day; });
+      detail::append<std::uint64_t>(
+          footer, static_cast<std::uint64_t>(cursor - events.begin()));
+    }
+  };
+  // One row loop fills every column at its ColumnLayout offset while
+  // folding the source zone map.
+  const auto fill = [&events](std::uint64_t lo, std::uint64_t m,
+                              std::uint8_t* base,
+                              std::vector<std::uint8_t>& metas) {
     const detail::ColumnLayout at(m);
-    buf.resize(static_cast<std::size_t>(ode2_block_bytes(m)));
-    std::uint8_t* const base = buf.data();
-    std::fill(base + at.type + m, base + buf.size(), std::uint8_t{0});  // pad
-
-    BlockMeta meta;
-    meta.offset = offset;
-    meta.min_day = events[lo].day();
-    meta.max_day = events[lo + m - 1].day();
-    meta.min_src = meta.max_src = events[lo].key.src.value();
+    std::uint32_t min_src = events[lo].key.src.value();
+    std::uint32_t max_src = min_src;
     for (std::uint64_t i = 0; i < m; ++i) {
       const telescope::DarknetEvent& e = events[lo + i];
       const std::uint32_t src = e.key.src.value();
@@ -99,237 +60,83 @@ std::uint64_t write_events_ode2_impl(const telescope::EventDataset& dataset,
       detail::put<std::uint32_t>(base + at.src + 4 * i, src);
       detail::put<std::uint16_t>(base + at.port + 2 * i, e.key.dst_port);
       base[at.type + i] = static_cast<std::uint8_t>(e.key.type);
-      meta.min_src = std::min(meta.min_src, src);
-      meta.max_src = std::max(meta.max_src, src);
+      min_src = std::min(min_src, src);
+      max_src = std::max(max_src, src);
     }
-    meta.crc = net::Crc32::of({buf.data(), buf.size()});
-    metas.push_back(meta);
-    sink(buf.data(), buf.size());
-    offset += buf.size();
-  }
-
-  // Footer: window + day index + zone maps + block CRCs, CRC-sealed.
-  const std::int64_t first_day = n == 0 ? 0 : dataset.first_day();
-  const std::int64_t last_day = n == 0 ? -1 : dataset.last_day();
-  const std::uint64_t day_count =
-      n == 0 ? 0 : static_cast<std::uint64_t>(last_day - first_day + 1);
-  std::vector<std::uint8_t> footer;
-  detail::append<std::int64_t>(footer, first_day);
-  detail::append<std::int64_t>(footer, last_day);
-  detail::append<std::uint64_t>(footer, day_count);
-  detail::append<std::uint64_t>(footer, block_count);
-  detail::append<std::uint64_t>(footer, 0);  // day_start[0]
-  // day_start[d + 1]: rows starting on or before day first_day + d, found
-  // by binary search over the start-ordered rows.
-  auto cursor = events.begin();
-  for (std::uint64_t d = 0; d < day_count; ++d) {
-    const std::int64_t day = first_day + static_cast<std::int64_t>(d);
-    cursor = std::partition_point(
-        cursor, events.end(),
-        [day](const telescope::DarknetEvent& e) { return e.day() <= day; });
-    detail::append<std::uint64_t>(
-        footer, static_cast<std::uint64_t>(cursor - events.begin()));
-  }
-  for (const BlockMeta& meta : metas) {
-    detail::append<std::uint64_t>(footer, meta.offset);
-    detail::append<std::int64_t>(footer, meta.min_day);
-    detail::append<std::int64_t>(footer, meta.max_day);
-    detail::append<std::uint32_t>(footer, meta.min_src);
-    detail::append<std::uint32_t>(footer, meta.max_src);
-  }
-  for (const BlockMeta& meta : metas) {
-    detail::append<std::uint32_t>(footer, meta.crc);
-  }
-  const std::uint32_t footer_crc =
-      net::Crc32::of({footer.data(), footer.size()});
-  detail::append<std::uint32_t>(footer, footer_crc);
-  sink(footer.data(), footer.size());
-  return footer_offset + footer.size();
+    detail::append<std::int64_t>(metas, events[lo].day());
+    detail::append<std::int64_t>(metas, events[lo + m - 1].day());
+    detail::append<std::uint32_t>(metas, min_src);
+    detail::append<std::uint32_t>(metas, max_src);
+  };
+  return detail::write_container(
+      detail::kOde2, sink, dataset.darknet_size(), events.size(), block_events,
+      fill, {first_day, last_day, day_count, day_index});
 }
+
+}  // namespace
 
 std::uint64_t write_events_ode2(const telescope::EventDataset& dataset,
                                 std::ostream& out,
                                 std::uint64_t block_events) {
-  const std::uint64_t bytes = write_events_ode2_impl(
-      dataset,
-      [&out](const std::uint8_t* p, std::size_t m) {
-        out.write(reinterpret_cast<const char*>(p),
-                  static_cast<std::streamsize>(m));
-        // Check after every write, not just at the end: a stream that
-        // enters a fail state stays there, and writing megabytes into a
-        // dead stream is how archives used to truncate silently.
-        if (!out) {
-          throw std::runtime_error(
-              "ode2 store: stream write failure (bad/fail state)");
-        }
-      },
-      block_events);
-  out.flush();
-  if (!out) {
-    throw std::runtime_error("ode2 store: stream flush failure");
-  }
-  return bytes;
+  return detail::write_to_stream(
+      detail::kOde2, out, [&](const detail::Sink& sink) {
+        return write_ode2(dataset, sink, block_events);
+      });
 }
 
 std::uint64_t write_events_ode2(const telescope::EventDataset& dataset,
                                 net::io::File& out,
                                 std::uint64_t block_events) {
-  return write_events_ode2_impl(
-      dataset,
-      [&out](const std::uint8_t* p, std::size_t m) { out.write(p, m); },
-      block_events);
+  return detail::write_to_file(out, [&](const detail::Sink& sink) {
+    return write_ode2(dataset, sink, block_events);
+  });
 }
 
 std::uint64_t write_events_ode2_file(const telescope::EventDataset& dataset,
                                      const std::string& path,
                                      std::uint64_t block_events) {
-  net::io::File out = net::io::File::create(path);
-  const std::uint64_t bytes = write_events_ode2(dataset, out, block_events);
-  out.sync();
-  out.close();
-  return bytes;
+  return detail::write_to_path(path, [&](net::io::File& out) {
+    return write_events_ode2(dataset, out, block_events);
+  });
 }
-
-namespace {
-
-/// Parsed, CRC-verified header fields (salvage-side mirror of the strict
-/// reader's checks; returns false with `error` set instead of throwing).
-struct Header {
-  std::uint64_t darknet_size = 0;
-  std::uint64_t event_count = 0;
-  std::uint64_t block_events = 0;
-  std::uint64_t footer_offset = 0;
-};
-
-bool parse_header(const std::vector<std::uint8_t>& bytes, Header& h,
-                  std::string& error) {
-  if (bytes.size() < kOde2HeaderBytes) {
-    error = "ode2 store: truncated header";
-    return false;
-  }
-  if (std::memcmp(bytes.data(), kMagic, 4) != 0) {
-    error = "ode2 store: bad magic (not an ODE2 file)";
-    return false;
-  }
-  const std::uint32_t stored_crc = detail::get_u32(bytes.data() + 4);
-  if (net::Crc32::of({bytes.data() + 8, 32}) != stored_crc) {
-    error = "ode2 store: header CRC mismatch";
-    return false;
-  }
-  h.darknet_size = detail::get_u64(bytes.data() + 8);
-  h.event_count = detail::get_u64(bytes.data() + 16);
-  h.block_events = detail::get_u64(bytes.data() + 24);
-  h.footer_offset = detail::get_u64(bytes.data() + 32);
-  if (h.event_count > detail::kMaxEventCount) {
-    error = "ode2 store: absurd event count";
-    return false;
-  }
-  if (h.block_events == 0 || h.block_events > detail::kMaxBlockEvents) {
-    error = "ode2 store: absurd block size";
-    return false;
-  }
-  if (h.footer_offset !=
-      kOde2HeaderBytes + total_block_bytes(h.event_count, h.block_events)) {
-    error = "ode2 store: header geometry mismatch";
-    return false;
-  }
-  return true;
-}
-
-/// True when every traffic-type byte of the block is a valid enum value —
-/// the same structural validation ODE1's record reader applies.
-bool types_valid(const std::uint8_t* base, std::uint64_t rows) {
-  const detail::ColumnLayout at(rows);
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    if (base[at.type + i] > static_cast<std::uint8_t>(pkt::TrafficType::Other)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 Ode2SalvageResult read_events_ode2_salvage(const std::string& path) {
-  Ode2SalvageResult result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    result.error = "ode2 store: cannot open " + path;
-    return result;
-  }
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
-
-  Header h;
-  if (!parse_header(bytes, h, result.error)) {
-    return result;
-  }
-  result.declared_count = h.event_count;
-  const std::uint64_t n = h.event_count;
-  const std::uint64_t b = h.block_events;
-  const std::uint64_t block_count = n == 0 ? 0 : (n + b - 1) / b;
-
-  // Try the footer; its CRC decides whether per-block CRCs are usable.
-  std::vector<std::uint32_t> block_crcs;
-  if (h.footer_offset + 32 + 8 <= bytes.size()) {
-    const std::uint8_t* f = bytes.data() + h.footer_offset;
-    const std::uint64_t day_count = detail::get_u64(f + 16);
-    const std::uint64_t footer_blocks = detail::get_u64(f + 24);
-    const std::uint64_t footer_bytes =
-        32 + 8 * (day_count + 1) + (32 + 4) * footer_blocks + 4;
-    if (footer_blocks == block_count && day_count <= detail::kMaxEventCount &&
-        h.footer_offset + footer_bytes == bytes.size()) {
-      const std::uint32_t stored =
-          detail::get_u32(bytes.data() + bytes.size() - 4);
-      if (net::Crc32::of({f, static_cast<std::size_t>(footer_bytes - 4)}) ==
-          stored) {
-        result.footer_intact = true;
-        const std::uint8_t* crcs =
-            f + 32 + 8 * (day_count + 1) + 32 * footer_blocks;
-        for (std::uint64_t k = 0; k < block_count; ++k) {
-          block_crcs.push_back(detail::get_u32(crcs + 4 * k));
-        }
-      }
-    }
-  }
-
-  // Recover the prefix of complete, valid blocks (CRC-checked when the
-  // footer survived; structurally validated when it did not).
   std::vector<telescope::DarknetEvent> events;
-  events.reserve(static_cast<std::size_t>(std::min(n, std::uint64_t{1} << 16)));
-  result.complete = result.footer_intact;
-  std::uint64_t offset = kOde2HeaderBytes;
-  for (std::uint64_t k = 0; k < block_count; ++k) {
-    const std::uint64_t rows = std::min(b, n - k * b);
-    const std::uint64_t block_bytes = ode2_block_bytes(rows);
-    if (offset + block_bytes > bytes.size()) {
-      result.complete = false;
-      result.error = "ode2 store: truncated block " + std::to_string(k);
-      break;
-    }
-    const std::uint8_t* base = bytes.data() + offset;
-    if (result.footer_intact) {
-      if (net::Crc32::of({base, static_cast<std::size_t>(block_bytes)}) !=
-          block_crcs[static_cast<std::size_t>(k)]) {
-        result.complete = false;
-        result.error = "ode2 store: block " + std::to_string(k) + " CRC mismatch";
-        break;
-      }
-    } else if (!types_valid(base, rows)) {
-      result.complete = false;
-      result.error = "ode2 store: bad traffic type in block " + std::to_string(k);
-      break;
-    }
-    for (std::uint64_t i = 0; i < rows; ++i) {
-      events.push_back(detail::decode_row(base, rows, i));
-    }
-    offset += block_bytes;
-  }
-  if (!result.footer_intact && result.error.empty()) {
-    result.error = "ode2 store: footer missing or corrupt";
-  }
+  const detail::SalvageOutcome out = detail::salvage(
+      detail::kOde2, path,
+      {.footer =
+           [](const detail::Header& h, const detail::Footer& f) {
+             std::int64_t first_day = 0;
+             std::int64_t last_day = 0;
+             std::vector<std::uint64_t> day_start;
+             std::vector<BlockMeta> blocks;
+             return detail::decode_ode2_footer(h, f, first_day, last_day,
+                                               day_start, blocks);
+           },
+       // Every traffic-type byte must be a valid enum value — the same
+       // structural check ODE1's record reader applies.
+       .valid =
+           [](const std::uint8_t* base, std::uint64_t rows) {
+             const auto types = detail::ode2_view(base, rows, 0).type;
+             return std::all_of(types.begin(), types.end(), [](std::uint8_t t) {
+               return t <= static_cast<std::uint8_t>(pkt::TrafficType::Other);
+             });
+           },
+       .invalid = "bad traffic type in block ",
+       .take =
+           [&events](const std::uint8_t* base, std::uint64_t rows) {
+             const BlockView view = detail::ode2_view(base, rows, 0);
+             for (std::size_t i = 0; i < view.rows(); ++i) {
+               events.push_back(view.event(i));
+             }
+           }});
+  Ode2SalvageResult result;
+  result.declared_count = out.header.rows;
   result.recovered_count = events.size();
-  result.dataset = telescope::EventDataset(std::move(events), h.darknet_size);
+  result.footer_intact = out.footer_intact;
+  result.complete = out.complete;
+  result.error = out.error;
+  result.dataset = telescope::EventDataset(std::move(events), out.header.tag);
   return result;
 }
 
@@ -342,7 +149,7 @@ std::string sniff_event_format(const std::string& path) {
   in.read(magic, 4);
   if (in.gcount() == 4) {
     if (std::memcmp(magic, "ODE1", 4) == 0) return "ODE1";
-    if (std::memcmp(magic, kMagic, 4) == 0) return "ODE2";
+    if (std::memcmp(magic, detail::kOde2.magic, 4) == 0) return "ODE2";
   }
   return "?";
 }

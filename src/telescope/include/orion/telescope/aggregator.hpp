@@ -145,7 +145,6 @@ class EventAggregator {
   // Per-record scratch columns reused across batches (kept as members so
   // a steady-state observe_batch call performs zero allocations).
   std::vector<std::uint8_t> scratch_kind_;
-  std::vector<std::uint8_t> scratch_member_;  // dark-space membership
   std::vector<std::uint8_t> scratch_type_;    // traffic classification
   std::vector<std::uint8_t> scratch_tool_;
   std::vector<EventKey> scratch_key_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -42,7 +43,9 @@ void EventAggregator::observe(const pkt::Packet& packet) {
 
   if (packet.timestamp >= next_sweep_) sweep(packet.timestamp);
 
-  if (!dark_space_.contains(packet.tuple.dst)) {
+  const std::optional<std::uint64_t> offset =
+      dark_space_.lookup_offset(packet.tuple.dst);
+  if (!offset) {
     ++ignored_out_of_space_;
     return;
   }
@@ -77,7 +80,7 @@ void EventAggregator::observe(const pkt::Packet& packet) {
   live->last_seen = packet.timestamp;
   ++live->packets;
   ++live->packets_by_tool[tool_index(pkt::fingerprint_of(packet))];
-  live->dests.add(dark_space_.offset_of(packet.tuple.dst));
+  live->dests.add(*offset);
 }
 
 void EventAggregator::observe_batch(const pkt::PacketBatch& batch) {
@@ -107,23 +110,24 @@ void EventAggregator::observe_batch(const pkt::PacketBatch& batch) {
 
   // Pass 1: classify every record and precompute key hashes / dark-space
   // offsets into the scratch columns. kind: 0 = outside the dark space,
-  // 1 = non-scanning, 2 = scanning. The membership, traffic-class and tool
-  // columns come from the batch forms of the same per-record tests the
-  // scalar observe() runs, so both paths see identical inputs.
+  // 1 = non-scanning, 2 = scanning. One dark-space lookup per record gives
+  // membership and offset together, as in observe(); the traffic-class and
+  // tool columns come from the batch forms of the same per-record tests
+  // the scalar path runs, so both paths see identical inputs.
   scratch_kind_.resize(n);
-  scratch_member_.resize(n);
   scratch_type_.resize(n);
   scratch_tool_.resize(n);
   scratch_key_.resize(n);
   scratch_hash_.resize(n);
   scratch_offset_.resize(n);
-  dark_space_.contains_batch(batch.dst_col().data(), n, scratch_member_.data());
   pkt::classify_traffic_batch(batch, scratch_type_.data());
   pkt::classify_tool_batch(batch, scratch_tool_.data());
   std::uint64_t out_of_space = 0;
   std::uint64_t non_scanning = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!scratch_member_[i]) {
+    const std::optional<std::uint64_t> offset =
+        dark_space_.lookup_offset(batch.dst(i));
+    if (!offset) {
       scratch_kind_[i] = 0;
       ++out_of_space;
       continue;
@@ -142,7 +146,7 @@ void EventAggregator::observe_batch(const pkt::PacketBatch& batch) {
                                                        : batch.dst_port(i),
                  type};
     scratch_hash_[i] = EventKeyHash{}(scratch_key_[i]);
-    scratch_offset_[i] = dark_space_.offset_of(batch.dst(i));
+    scratch_offset_[i] = *offset;
   }
 
   // Pass 2: apply the records in order. Sweep scheduling is identical to

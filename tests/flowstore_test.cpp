@@ -5,10 +5,13 @@
 // path, for every cell, at any block size and prebuild thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -308,6 +311,127 @@ TEST(Fde1Golden, WriterBytesArePinned) {
         {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()});
     EXPECT_EQ(bytes.size(), pin.size) << pin.block_flows;
     EXPECT_EQ(crc, pin.crc) << pin.block_flows << " crc 0x" << std::hex << crc;
+  }
+}
+
+/// Re-seals the footer CRC after a test edits footer fields, so the
+/// edit reaches the checks behind the CRC — bytes a foreign writer
+/// could produce.
+void reseal_footer(std::string& bytes) {
+  std::uint64_t footer_offset = 0;
+  std::memcpy(&footer_offset, bytes.data() + 32, 8);
+  const std::uint32_t crc = net::Crc32::of(
+      {reinterpret_cast<const std::uint8_t*>(bytes.data()) + footer_offset,
+       bytes.size() - 4 - footer_offset});
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
+}
+
+TEST(Fde1, DayWindowIsBoundedInWriterAndReaders) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kWidest = static_cast<std::int64_t>(kFde1MaxWindowDays);
+  std::stringstream out;
+  EXPECT_THROW(write_flows_fde1(10, kMin, kMax, {}, out), std::invalid_argument);
+  EXPECT_THROW(write_flows_fde1(10, 5, 4, {}, out), std::invalid_argument);
+  EXPECT_THROW(write_flows_fde1(10, -1, kWidest, {}, out), std::invalid_argument);
+  {
+    const TempFile file("", "window");
+    EXPECT_THROW(write_flows_fde1_file(10, kMin, kMax, {}, file.path()),
+                 std::invalid_argument);
+  }
+  std::stringstream widest;
+  write_flows_fde1(10, 0, kWidest, {}, widest);
+  const TempFile widest_file(widest.str());
+  EXPECT_EQ(MappedFlowStore(widest_file.path()).end_day(), kWidest);
+
+  // A CRC-valid footer declaring the full int64 window: both readers
+  // reject it before any day arithmetic.
+  std::string bytes = fde1_bytes(tiny_flows(), 32);
+  std::uint64_t footer_offset = 0;
+  std::memcpy(&footer_offset, bytes.data() + 32, 8);
+  std::memcpy(bytes.data() + footer_offset, &kMin, 8);
+  std::memcpy(bytes.data() + footer_offset + 8, &kMax, 8);
+  reseal_footer(bytes);
+  const TempFile file(bytes);
+  EXPECT_THROW(MappedFlowStore{file.path()}, std::runtime_error);
+  const Fde1SalvageResult salvage = read_flows_fde1_salvage(file.path());
+  EXPECT_FALSE(salvage.footer_intact);
+  EXPECT_EQ(salvage.recovered_count, salvage.declared_count);
+}
+
+/// One mutated file: the strict open either succeeds — and then every
+/// reader surface works — or throws std::runtime_error; salvage returns a
+/// block prefix of the original rows and agrees with the strict open on
+/// whether the footer is intact.
+void expect_rejected_or_prefix(const std::string& path,
+                               const flowsim::FlowBatch& original,
+                               std::uint64_t block_flows,
+                               const std::string& what) {
+  bool strict_ok = false;
+  bool blocks_clean = false;
+  try {
+    const MappedFlowStore store(path);
+    strict_ok = true;
+    blocks_clean = store.verify_blocks() == store.block_count();
+    for (const FlowSegment& seg : store.segments()) {
+      (void)store.row_range(seg.router, seg.day);
+    }
+    (void)store.to_batch();
+    (void)store.to_dataset();
+  } catch (const std::runtime_error&) {
+  }
+  const Fde1SalvageResult salvage = read_flows_fde1_salvage(path);
+  EXPECT_EQ(salvage.footer_intact, strict_ok) << what;
+  EXPECT_EQ(salvage.complete, strict_ok && blocks_clean) << what;
+  ASSERT_LE(salvage.recovered_count, original.size()) << what;
+  if (salvage.recovered_count < original.size()) {
+    EXPECT_EQ(salvage.recovered_count % block_flows, 0u) << what;
+  }
+  for (std::size_t i = 0; i < salvage.recovered_count; ++i) {
+    ASSERT_EQ(salvage.rows.record_at(i), original.record_at(i)) << what;
+  }
+}
+
+TEST(Fde1Mutation, EveryBitFlipAndCutIsRejectedOrSalvagedAsPrefix) {
+  // Small archive: routers 0 and 1 of the golden segments (one empty
+  // cell), at most 3 rows per cell, in blocks of 4 — about 1 KB.
+  std::vector<Fde1Segment> segments;
+  flowsim::FlowBatch original;
+  for (Fde1Segment& seg : golden_segments()) {
+    if (seg.router > 1) continue;
+    flowsim::FlowBatch rows;
+    for (std::size_t i = 0; i < std::min<std::size_t>(3, seg.rows.size()); ++i) {
+      rows.append_record(seg.rows, i);
+      original.append_record(seg.rows, i);
+    }
+    seg.rows = std::move(rows);
+    segments.push_back(std::move(seg));
+  }
+  constexpr std::uint64_t kBlock = 4;
+  std::stringstream stream;
+  write_flows_fde1(100, 4, 7, segments, stream, kBlock);
+  const std::string clean = stream.str();
+  std::uint64_t footer_offset = 0;
+  std::memcpy(&footer_offset, clean.data() + 32, 8);
+  const TempFile file("", "sweep");
+  const auto run = [&](const std::string& bytes, const std::string& what) {
+    std::ofstream(file.path(), std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    expect_rejected_or_prefix(file.path(), original, kBlock, what);
+  };
+  for (std::size_t at = 0; at < clean.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = clean;
+      bad[at] = static_cast<char>(bad[at] ^ (1 << bit));
+      run(bad, "flip " + std::to_string(at) + "." + std::to_string(bit));
+      if (at >= footer_offset && at + 4 < clean.size()) {
+        reseal_footer(bad);  // a foreign footer that passes its CRC
+        run(bad, "sealed flip " + std::to_string(at) + "." + std::to_string(bit));
+      }
+    }
+  }
+  for (std::size_t cut = 0; cut < clean.size(); ++cut) {
+    run(clean.substr(0, cut), "cut " + std::to_string(cut));
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <array>
 #include <cmath>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -174,6 +176,33 @@ TEST(PrefixSet, ContainsBatchMatchesContains) {
       }
     }
   }
+}
+
+TEST(PrefixSet, LookupOffsetAgreesWithContainsFindAndOffsetOf) {
+  std::vector<Prefix> prefixes;
+  for (const char* c : {"1.0.0.0/24", "5.0.0.0/30", "198.18.0.0/22",
+                        "198.18.8.0/32"}) {
+    prefixes.push_back(*Prefix::parse(c));
+  }
+  const PrefixSet set(prefixes);
+  Rng rng(97);
+  for (int i = 0; i < 20000; ++i) {
+    // Half the draws land near the members, so both answers occur.
+    const Ipv4Address a(rng.chance(0.5)
+                            ? (0xC6120000u |
+                               static_cast<std::uint32_t>(rng.bounded(4096)))
+                            : static_cast<std::uint32_t>(rng.next()));
+    const std::optional<std::uint64_t> offset = set.lookup_offset(a);
+    ASSERT_EQ(offset.has_value(), set.contains(a)) << a.to_string();
+    ASSERT_EQ(offset.has_value(), set.find(a).has_value()) << a.to_string();
+    if (offset) {
+      ASSERT_EQ(*offset, set.offset_of(a));
+      ASSERT_EQ(set.address_at(*offset), a);
+    } else {
+      ASSERT_THROW(set.offset_of(a), std::out_of_range);
+    }
+  }
+  EXPECT_FALSE(PrefixSet().lookup_offset(Ipv4Address(0)).has_value());
 }
 
 // ----------------------------------------------------------------- Checksum

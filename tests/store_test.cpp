@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -451,6 +452,126 @@ TEST(MappedStore, StrictOpenRejectsCorruption) {
     const TempFile file(bad);
     const MappedEventStore store(file.path());
     EXPECT_EQ(store.verify_blocks(), 1u);
+  }
+}
+
+/// Re-seals the footer CRC after a test edits footer fields, so the
+/// edit reaches the checks behind the CRC — bytes a foreign writer
+/// could produce.
+void reseal_footer(std::string& bytes) {
+  std::uint64_t footer_offset = 0;
+  std::memcpy(&footer_offset, bytes.data() + 32, 8);
+  const std::uint32_t crc = net::Crc32::of(
+      {reinterpret_cast<const std::uint8_t*>(bytes.data()) + footer_offset,
+       bytes.size() - 4 - footer_offset});
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
+}
+
+template <typename T>
+void poke(std::string& bytes, std::size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(T));
+}
+
+TEST(MappedStore, StrictOpenChecksFooterCrcBeforeFooterFields) {
+  const std::string bytes = ode2_bytes(sample_dataset(), 16);
+  std::uint64_t footer_offset = 0;
+  std::memcpy(&footer_offset, bytes.data() + 32, 8);
+  const std::size_t first_day_at = static_cast<std::size_t>(footer_offset);
+  const std::size_t day_count_at = first_day_at + 16;
+
+  {  // bit 63 of first_day, CRC left stale: rejected at the CRC
+    std::string bad = bytes;
+    bad[first_day_at + 7] = static_cast<char>(bad[first_day_at + 7] ^ 0x80);
+    const TempFile file(bad);
+    EXPECT_THROW(MappedEventStore{file.path()}, std::runtime_error);
+  }
+  {  // the same flip re-sealed: the window check rejects it, no overflow
+    std::string bad = bytes;
+    bad[first_day_at + 7] = static_cast<char>(bad[first_day_at + 7] ^ 0x80);
+    reseal_footer(bad);
+    const TempFile file(bad);
+    EXPECT_THROW(MappedEventStore{file.path()}, std::runtime_error);
+    EXPECT_FALSE(read_events_ode2_salvage(file.path()).footer_intact);
+  }
+  {  // CRC-valid day_count = 2^61: bounded before any size arithmetic
+    std::string bad = bytes;
+    poke<std::uint64_t>(bad, day_count_at, std::uint64_t{1} << 61);
+    reseal_footer(bad);
+    const TempFile file(bad);
+    EXPECT_THROW(MappedEventStore{file.path()}, std::runtime_error);
+    const Ode2SalvageResult salvage = read_events_ode2_salvage(file.path());
+    EXPECT_FALSE(salvage.footer_intact);
+    EXPECT_EQ(salvage.recovered_count, 100u);  // structural walk keeps all
+  }
+}
+
+/// Small ODE2 file for the mutation sweep: 13 events over 13 days in
+/// blocks of 4 (4 + 4 + 4 + 1 rows), about 1.3 KB.
+EventDataset sweep_dataset() {
+  std::vector<DarknetEvent> events;
+  const EventDataset full = sample_dataset();
+  for (std::size_t i = 0; i < full.event_count(); i += 8) {
+    events.push_back(full.events()[i]);
+  }
+  return EventDataset(std::move(events), 4096);
+}
+
+/// One mutated file: the strict open either succeeds — and then every
+/// reader surface works — or throws std::runtime_error; salvage returns a
+/// block prefix of the original and agrees with the strict open on
+/// whether the footer is intact.
+void expect_rejected_or_prefix(const std::string& path,
+                               const EventDataset& original,
+                               std::uint64_t block_events,
+                               const std::string& what) {
+  bool strict_ok = false;
+  bool blocks_clean = false;
+  try {
+    const MappedEventStore store(path);
+    strict_ok = true;
+    blocks_clean = store.verify_blocks() == store.block_count();
+    (void)store.day_range(store.first_day());
+    (void)store.day_range(store.last_day());
+    (void)store.to_dataset();
+  } catch (const std::runtime_error&) {
+  }
+  const Ode2SalvageResult salvage = read_events_ode2_salvage(path);
+  EXPECT_EQ(salvage.footer_intact, strict_ok) << what;
+  EXPECT_EQ(salvage.complete, strict_ok && blocks_clean) << what;
+  ASSERT_LE(salvage.recovered_count, original.event_count()) << what;
+  if (salvage.recovered_count < original.event_count()) {
+    EXPECT_EQ(salvage.recovered_count % block_events, 0u) << what;
+  }
+  for (std::size_t i = 0; i < salvage.recovered_count; ++i) {
+    ASSERT_EQ(salvage.dataset.events()[i], original.events()[i]) << what;
+  }
+}
+
+TEST(Ode2Mutation, EveryBitFlipAndCutIsRejectedOrSalvagedAsPrefix) {
+  const EventDataset original = sweep_dataset();
+  constexpr std::uint64_t kBlock = 4;
+  const std::string clean = ode2_bytes(original, kBlock);
+  std::uint64_t footer_offset = 0;
+  std::memcpy(&footer_offset, clean.data() + 32, 8);
+  const TempFile file("");
+  const auto run = [&](const std::string& bytes, const std::string& what) {
+    std::ofstream(file.path(), std::ios::binary | std::ios::trunc)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    expect_rejected_or_prefix(file.path(), original, kBlock, what);
+  };
+  for (std::size_t at = 0; at < clean.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string bad = clean;
+      bad[at] = static_cast<char>(bad[at] ^ (1 << bit));
+      run(bad, "flip " + std::to_string(at) + "." + std::to_string(bit));
+      if (at >= footer_offset && at + 4 < clean.size()) {
+        reseal_footer(bad);  // a foreign footer that passes its CRC
+        run(bad, "sealed flip " + std::to_string(at) + "." + std::to_string(bit));
+      }
+    }
+  }
+  for (std::size_t cut = 0; cut < clean.size(); ++cut) {
+    run(clean.substr(0, cut), "cut " + std::to_string(cut));
   }
 }
 
