@@ -4,7 +4,9 @@
 // slices — and the merged result publishes daily AH lists with thresholds
 // calibrated only on past data, the deployment mode behind the paper's
 // plan to share daily scanner lists with the community. The merged lists
-// are byte-identical to a serial TelescopeCapture + StreamingDetector run.
+// are byte-identical to a serial TelescopeCapture + StreamingDetector run:
+// both run the one per-event update and the one incremental day-close
+// in detect/shard_detector.hpp.
 //
 // Supervised mode: --supervise runs the pipeline with self-healing
 // workers (panic capture + snapshot/replay restart).

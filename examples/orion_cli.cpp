@@ -37,10 +37,12 @@
 // serve::QueryRequest executed by serve::execute_query, so the CLI and
 // the daemon can never drift apart.
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
@@ -184,6 +186,43 @@ std::string get_or(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
+/// The whole of `text` as a number in [lo, hi]; nullopt for junk,
+/// trailing characters, a sign or value out of range, or NaN.
+template <typename T>
+std::optional<T> parse_number(const std::string& text,
+                              T lo = std::numeric_limits<T>::lowest(),
+                              T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !(value >= lo && value <= hi)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// A numeric flag in [lo, hi] (`fallback` when absent); anything else is
+/// a usage error.
+template <typename T>
+T number_flag(const Flags& flags, const std::string& key, T fallback,
+              T lo = std::numeric_limits<T>::lowest(),
+              T hi = std::numeric_limits<T>::max()) {
+  const auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  const std::optional<T> value = parse_number<T>(it->second, lo, hi);
+  if (!value) usage("bad value for --" + key + ": " + it->second);
+  return *value;
+}
+
+/// A required numeric flag.
+template <typename T>
+T require_number(const Flags& flags, const std::string& key,
+                 T lo = std::numeric_limits<T>::lowest(),
+                 T hi = std::numeric_limits<T>::max()) {
+  require(flags, key);
+  return number_flag<T>(flags, key, T{}, lo, hi);
+}
+
 telescope::EventDataset load_dataset(const std::string& path) {
   // Sniffs the magic: ODE1 row files and ODE2 columnar stores both work.
   try {
@@ -216,7 +255,7 @@ net::PrefixSet parse_prefix_set(const std::string& cidr) {
 int cmd_simulate(const std::map<std::string, std::string>& flags) {
   const std::string out = require(flags, "out");
   const std::string which = get_or(flags, "scenario", "tiny");
-  const int year = std::stoi(get_or(flags, "year", "2021"));
+  const int year = number_flag(flags, "year", 2021);
   if (year != 2021 && year != 2022) usage("--year must be 2021 or 2022");
 
   const scangen::Scenario scenario{which == "paper" ? scangen::paper_scaled()
@@ -240,11 +279,13 @@ int cmd_aggregate(const std::map<std::string, std::string>& flags) {
   const net::PrefixSet dark = parse_prefix_set(require(flags, "darknet"));
 
   telescope::AggregatorConfig config;
-  const std::string timeout = get_or(flags, "timeout-min", "");
-  config.timeout = timeout.empty()
-                       ? telescope::derive_timeout(dark.total_addresses(), 100.0,
-                                                   net::Duration::days(2))
-                       : net::Duration::minutes(std::stoll(timeout));
+  // Up to ~190 years, so the nanosecond duration cannot overflow.
+  config.timeout =
+      flags.contains("timeout-min")
+          ? net::Duration::minutes(
+                number_flag<std::int64_t>(flags, "timeout-min", 0, 1, 100000000))
+          : telescope::derive_timeout(dark.total_addresses(), 100.0,
+                                      net::Duration::days(2));
   telescope::TelescopeCapture capture(dark, config);
   pkt::PcapReader reader(pcap_path);
   while (auto packet = reader.next()) capture.observe(*packet);
@@ -275,9 +316,9 @@ int cmd_filter(const std::map<std::string, std::string>& flags) {
 int cmd_detect(const std::map<std::string, std::string>& flags) {
   const telescope::EventDataset dataset = load_dataset(require(flags, "in"));
   detect::DetectorConfig config;
-  config.dispersion_threshold = std::stod(get_or(flags, "dispersion", "0.10"));
-  config.packet_volume_alpha = std::stod(get_or(flags, "alpha2", "0.028"));
-  config.port_count_alpha = std::stod(get_or(flags, "alpha3", "2e-4"));
+  config.dispersion_threshold = number_flag(flags, "dispersion", 0.10, 0.0, 1.0);
+  config.packet_volume_alpha = number_flag(flags, "alpha2", 0.028, 0.0, 1.0);
+  config.port_count_alpha = number_flag(flags, "alpha3", 2e-4, 0.0, 1.0);
 
   const detect::DetectionResult result =
       detect::AggressiveScannerDetector(config).detect(dataset);
@@ -350,13 +391,12 @@ int cmd_convert(const std::map<std::string, std::string>& flags) {
   if (format != "ode1" && format != "ode2") {
     usage("--format must be ode1 or ode2");
   }
+  const std::uint64_t block_events = number_flag<std::uint64_t>(
+      flags, "block-events", store::kOde2DefaultBlockEvents, 1);
   const telescope::EventDataset dataset = load_dataset(in);
   if (format == "ode1") {
     save_dataset(dataset, out);
   } else {
-    const std::uint64_t block_events =
-        std::stoull(get_or(flags, "block-events",
-                           std::to_string(store::kOde2DefaultBlockEvents)));
     const std::uint64_t bytes =
         store::write_events_ode2_file(dataset, out, block_events);
     std::cout << "wrote " << dataset.event_count() << " events ("
@@ -501,16 +541,28 @@ std::vector<flowsim::FlowRecord> read_csv_flows(const std::string& path) {
       std::cerr << "error: " << path << ":" << line_no << ": bad address\n";
       std::exit(1);
     }
+    const auto router = parse_number<std::uint16_t>(fields[0]);
+    const auto ts_ns = parse_number<std::int64_t>(fields[1]);
+    const auto src_port = parse_number<std::uint16_t>(fields[4]);
+    const auto dst_port = parse_number<std::uint16_t>(fields[5]);
+    const auto proto = parse_number<std::uint8_t>(fields[6]);
+    const auto packets = parse_number<std::uint64_t>(fields[7]);
+    const auto bytes = parse_number<std::uint64_t>(fields[8]);
+    if (!router || !ts_ns || !src_port || !dst_port || !proto || !packets ||
+        !bytes) {
+      std::cerr << "error: " << path << ":" << line_no << ": bad number\n";
+      std::exit(1);
+    }
     flowsim::FlowRecord flow;
-    flow.router = static_cast<std::uint16_t>(std::stoul(fields[0]));
-    flow.ts_ns = std::stoll(fields[1]);
+    flow.router = *router;
+    flow.ts_ns = *ts_ns;
     flow.src = *src;
     flow.dst = *dst;
-    flow.src_port = static_cast<std::uint16_t>(std::stoul(fields[4]));
-    flow.dst_port = static_cast<std::uint16_t>(std::stoul(fields[5]));
-    flow.proto = static_cast<std::uint8_t>(std::stoul(fields[6]));
-    flow.packets = std::stoull(fields[7]);
-    flow.bytes = std::stoull(fields[8]);
+    flow.src_port = *src_port;
+    flow.dst_port = *dst_port;
+    flow.proto = *proto;
+    flow.packets = *packets;
+    flow.bytes = *bytes;
     records.push_back(flow);
   }
   return records;
@@ -609,12 +661,11 @@ std::uint64_t convert_flows_to_fde1(const std::string& in,
 int cmd_flow_convert(const std::map<std::string, std::string>& flags) {
   const std::string in = require(flags, "in");
   const std::string out = require(flags, "out");
-  const std::uint64_t block_flows = std::stoull(
-      get_or(flags, "block-flows", std::to_string(store::kFde1DefaultBlockFlows)));
-  const auto sampling_rate = static_cast<std::uint32_t>(
-      std::stoul(get_or(flags, "sampling-rate", "100")));
-  const auto router =
-      static_cast<std::uint16_t>(std::stoul(get_or(flags, "router", "0")));
+  const std::uint64_t block_flows = number_flag<std::uint64_t>(
+      flags, "block-flows", store::kFde1DefaultBlockFlows, 1);
+  const auto sampling_rate =
+      number_flag<std::uint32_t>(flags, "sampling-rate", 100, 1);
+  const auto router = number_flag<std::uint16_t>(flags, "router", 0);
   const std::uint64_t bytes =
       convert_flows_to_fde1(in, out, block_flows, sampling_rate, router);
   const store::MappedFlowStore mapped(out);
@@ -703,7 +754,7 @@ int cmd_flow_impact(const std::map<std::string, std::string>& flags) {
   if (which != "tiny" && which != "paper") {
     usage("--scenario must be tiny or paper");
   }
-  const int year = std::stoi(get_or(flags, "year", "2021"));
+  const int year = number_flag(flags, "year", 2021);
   if (year != 2021 && year != 2022) usage("--year must be 2021 or 2022");
   const scangen::Scenario scenario{which == "paper" ? scangen::paper_scaled()
                                                     : scangen::tiny()};
@@ -713,7 +764,7 @@ int cmd_flow_impact(const std::map<std::string, std::string>& flags) {
   // AH from the darknet's perspective of the given events.
   detect::DetectorConfig detector;
   detector.dispersion_threshold =
-      std::stod(get_or(flags, "dispersion", "0.10"));
+      number_flag(flags, "dispersion", 0.10, 0.0, 1.0);
   const detect::DetectionResult result =
       detect::AggressiveScannerDetector(detector).detect(dataset);
   const detect::IpSet& ah =
@@ -723,7 +774,9 @@ int cmd_flow_impact(const std::map<std::string, std::string>& flags) {
   // The flow side: either an at-rest archive (--flows, sniffed FDE1 vs
   // legacy NetFlow v5 / CSV) queried zero-copy through MappedFlowStore,
   // or simulated sampled NetFlow at the ISP border over the event window.
-  const std::int64_t days = std::stoll(get_or(flags, "days", "7"));
+  const auto days = number_flag<std::int64_t>(flags, "days", 7, 1, 1000000);
+  const auto sampling_rate =
+      number_flag<std::uint32_t>(flags, "sampling-rate", 100, 1);
   std::optional<flowsim::FlowDataset> flows;
   std::optional<store::MappedFlowStore> mapped;
   std::optional<impact::FlowImpactAnalyzer> analyzer;
@@ -740,11 +793,8 @@ int cmd_flow_impact(const std::map<std::string, std::string>& flags) {
       temp_fde1 = (std::filesystem::temp_directory_path() /
                    "orion_cli_flow_impact.fde1")
                       .string();
-      convert_flows_to_fde1(
-          path, temp_fde1, store::kFde1DefaultBlockFlows,
-          static_cast<std::uint32_t>(
-              std::stoul(get_or(flags, "sampling-rate", "100"))),
-          0);
+      convert_flows_to_fde1(path, temp_fde1, store::kFde1DefaultBlockFlows,
+                            sampling_rate, 0);
       std::cout << "lifted " << format << " input to a temporary FDE1 archive\n";
       path = temp_fde1;
     }
@@ -764,8 +814,7 @@ int cmd_flow_impact(const std::map<std::string, std::string>& flags) {
     if (config.end_day <= config.start_day) {
       config.end_day = config.start_day + 1;
     }
-    config.sampling_rate = static_cast<std::uint32_t>(
-        std::stoul(get_or(flags, "sampling-rate", "100")));
+    config.sampling_rate = sampling_rate;
     config.user.base_pps = 4000;
     config.user.cache_fraction = 0.55;
     flows.emplace(generate_flows(population, scenario.registry(),
@@ -866,9 +915,8 @@ int cmd_serve_query(const Flags& flags) {
     request.kind = serve::QueryKind::StoreInfo;
   } else if (kind == "impact") {
     request.kind = serve::QueryKind::FlowImpact;
-    request.router =
-        static_cast<std::uint32_t>(std::stoul(require(flags, "router")));
-    request.day = std::stoll(require(flags, "day"));
+    request.router = require_number<std::uint32_t>(flags, "router");
+    request.day = require_number<std::int64_t>(flags, "day");
     std::stringstream list(get_or(flags, "sources", ""));
     std::string item;
     while (std::getline(list, item, ',')) {
@@ -887,8 +935,7 @@ int cmd_serve_query(const Flags& flags) {
   serve::Client client;
   try {
     client.connect(get_or(flags, "host", "127.0.0.1"),
-                   static_cast<std::uint16_t>(
-                       std::stoul(require(flags, "port"))));
+                   require_number<std::uint16_t>(flags, "port"));
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
@@ -963,8 +1010,13 @@ int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string command = argv[1];
   for (const Command& entry : kCommands) {
-    if (command == entry.name) {
-      return entry.handler(parse_flags(argc, argv, 2));
+    if (command != entry.name) continue;
+    const Flags flags = parse_flags(argc, argv, 2);
+    try {
+      return entry.handler(flags);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 1;
     }
   }
   usage("unknown command: " + command);

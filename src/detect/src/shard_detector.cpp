@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 
 #include "orion/stats/ecdf.hpp"
@@ -78,31 +79,29 @@ ShardDetectorSlice::ShardDetectorSlice(StreamingConfig config,
   }
 }
 
+void ShardDetectorSlice::DayPartial::add(const telescope::DarknetEvent& event,
+                                         const StreamingConfig& config,
+                                         std::uint64_t darknet_size) {
+  packet_samples.add(packet_sample_id(event.key),
+                     static_cast<std::uint64_t>(
+                         event.start.since_epoch().total_nanos()),
+                     event.packets);
+  if (event.key.type != pkt::TrafficType::IcmpEchoReq) {
+    ports[event.key.src].insert(event.key.dst_port);
+  }
+  // Definition 1 qualifies immediately (scale-free rule); D2 and D3 wait
+  // for the day-close thresholds.
+  if (event.dispersion(darknet_size) >= config.base.dispersion_threshold) {
+    d1.insert(event.key.src);
+  }
+  auto& best = best_packets[event.key.src];
+  best = std::max(best, event.packets);
+}
+
 void ShardDetectorSlice::observe(const telescope::DarknetEvent& event) {
   ++events_seen_;
-  auto it = days_.find(event.day());
-  if (it == days_.end()) {
-    it = days_
-             .emplace(event.day(),
-                      DayPartial(config_.ecdf_reservoir, config_.seed))
-             .first;
-  }
-  DayPartial& day = it->second;
-
-  // Mirrors StreamingDetector::observe exactly, with identical
-  // sample identities, so the merged bottom-k equals the serial one.
-  day.packet_samples.add(packet_sample_id(event.key),
-                         static_cast<std::uint64_t>(
-                             event.start.since_epoch().total_nanos()),
-                         event.packets);
-  if (event.key.type != pkt::TrafficType::IcmpEchoReq) {
-    day.ports[event.key.src].insert(event.key.dst_port);
-  }
-  if (event.dispersion(darknet_size_) >= config_.base.dispersion_threshold) {
-    day.d1.insert(event.key.src);
-  }
-  auto& best = day.best_packets[event.key.src];
-  best = std::max(best, event.packets);
+  days_.try_emplace(event.day(), config_)
+      .first->second.add(event, config_, darknet_size_);
 }
 
 void ShardDetectorSlice::checkpoint(telescope::CheckpointWriter& writer) const {
@@ -159,8 +158,7 @@ void ShardDetectorSlice::restore(telescope::CheckpointReader& reader) {
   days_.clear();
   for (std::uint64_t d = 0; d < day_count; ++d) {
     const std::int64_t day = reader.i64("day");
-    auto [it, inserted] = days_.emplace(
-        day, DayPartial(config_.ecdf_reservoir, config_.seed));
+    auto [it, inserted] = days_.try_emplace(day, config_);
     if (!inserted) {
       throw std::runtime_error("checkpoint: duplicate slice day");
     }
@@ -188,15 +186,69 @@ void ShardDetectorSlice::restore(telescope::CheckpointReader& reader) {
   }
 }
 
+DayCloser::DayCloser(const StreamingConfig& config)
+    : config_(config),
+      packet_samples_(config.ecdf_reservoir, config.seed),
+      port_samples_(config.ecdf_reservoir, port_sampler_seed(config.seed)) {}
+
+StreamingDayResult DayCloser::close(
+    std::int64_t day,
+    std::span<const ShardDetectorSlice::DayPartial* const> partials) {
+  for (const auto* partial : partials) {
+    packet_samples_.merge(partial->packet_samples);
+  }
+
+  StreamingDayResult result;
+  result.day = day;
+  result.calibrated = packet_samples_.seen() >= config_.warmup_samples;
+  if (result.calibrated) {
+    const stats::Ecdf packet_ecdf(packet_samples_.values());
+    result.packet_threshold =
+        packet_ecdf.top_alpha_threshold(config_.base.packet_volume_alpha);
+    if (port_samples_.seen() > 0) {
+      const stats::Ecdf port_ecdf(port_samples_.values());
+      result.port_threshold =
+          port_ecdf.top_alpha_threshold(config_.base.port_count_alpha);
+    }
+    // Partials are disjoint by source, so the lists need no dedup.
+    for (const auto* partial : partials) {
+      result.daily[0].insert(result.daily[0].end(), partial->d1.begin(),
+                             partial->d1.end());
+      for (const auto& [src, packets] : partial->best_packets) {
+        if (packets > result.packet_threshold) result.daily[1].push_back(src);
+      }
+      if (result.port_threshold > 0) {
+        for (const auto& [src, ports] : partial->ports) {
+          if (ports.size() >= result.port_threshold) {
+            result.daily[2].push_back(src);
+          }
+        }
+      }
+    }
+    for (std::size_t d = 0; d < 3; ++d) {
+      std::sort(result.daily[d].begin(), result.daily[d].end());
+      ips_[d].insert(result.daily[d].begin(), result.daily[d].end());
+    }
+  }
+
+  // Sample identity (day, src) is unique across partitions.
+  for (const auto* partial : partials) {
+    for (const auto& [src, ports] : partial->ports) {
+      port_samples_.add(static_cast<std::uint64_t>(day), src.value(),
+                        ports.size());
+    }
+  }
+  return result;
+}
+
 MergedDetection merge_shard_slices(
     const std::vector<const ShardDetectorSlice*>& slices) {
   MergedDetection merged;
   if (slices.empty()) return merged;
   const StreamingConfig& config = slices.front()->config();
   const std::uint64_t darknet_size = slices.front()->darknet_size();
-  bool any_days = false;
-  std::int64_t first_day = 0;
-  std::int64_t last_day = 0;
+  std::int64_t first_day = std::numeric_limits<std::int64_t>::max();
+  std::int64_t last_day = std::numeric_limits<std::int64_t>::min();
   for (const ShardDetectorSlice* slice : slices) {
     if (!(slice->config() == config) ||
         slice->darknet_size() != darknet_size) {
@@ -205,82 +257,23 @@ MergedDetection merge_shard_slices(
     }
     merged.events_seen += slice->events_seen();
     if (slice->days().empty()) continue;
-    const std::int64_t lo = slice->days().begin()->first;
-    const std::int64_t hi = slice->days().rbegin()->first;
-    if (!any_days) {
-      first_day = lo;
-      last_day = hi;
-      any_days = true;
-    } else {
-      first_day = std::min(first_day, lo);
-      last_day = std::max(last_day, hi);
-    }
+    first_day = std::min(first_day, slice->days().begin()->first);
+    last_day = std::max(last_day, slice->days().rbegin()->first);
   }
-  if (!any_days) return merged;
 
-  stats::BottomKSampler packet_samples(config.ecdf_reservoir, config.seed);
-  stats::BottomKSampler port_samples(config.ecdf_reservoir,
-                                     port_sampler_seed(config.seed));
-
-  // Serial day-close schedule: the detector closes every day from the
-  // first event's day through the last, including empty ones.
+  // The serial schedule: every day from the first event's through the
+  // last, empty ones included.
+  DayCloser closer(config);
+  std::vector<const ShardDetectorSlice::DayPartial*> partials;
   for (std::int64_t day = first_day; day <= last_day; ++day) {
-    std::vector<const ShardDetectorSlice::DayPartial*> partials;
+    partials.clear();
     for (const ShardDetectorSlice* slice : slices) {
       const auto it = slice->days().find(day);
-      if (it == slice->days().end()) continue;
-      partials.push_back(&it->second);
-      // Packet samples enter the rolling ECDF on ingest — before the
-      // day's own close — so today's events inform today's threshold.
-      packet_samples.merge(it->second.packet_samples);
+      if (it != slice->days().end()) partials.push_back(&it->second);
     }
-
-    StreamingDayResult result;
-    result.day = day;
-    result.calibrated = packet_samples.seen() >= config.warmup_samples;
-    if (result.calibrated) {
-      stats::Ecdf packet_ecdf(packet_samples.values());
-      result.packet_threshold =
-          packet_ecdf.top_alpha_threshold(config.base.packet_volume_alpha);
-      if (port_samples.seen() > 0) {
-        stats::Ecdf port_ecdf(port_samples.values());
-        result.port_threshold =
-            port_ecdf.top_alpha_threshold(config.base.port_count_alpha);
-      }
-
-      // Sources are disjoint across shards (hash-of-source partition), so
-      // per-definition qualification unions without conflicts.
-      std::array<IpSet, 3> qualified;
-      for (const auto* partial : partials) {
-        qualified[0].insert(partial->d1.begin(), partial->d1.end());
-        for (const auto& [src, packets] : partial->best_packets) {
-          if (packets > result.packet_threshold) qualified[1].insert(src);
-        }
-        if (result.port_threshold > 0) {
-          for (const auto& [src, ports] : partial->ports) {
-            if (ports.size() >= result.port_threshold) qualified[2].insert(src);
-          }
-        }
-      }
-      for (std::size_t d = 0; d < 3; ++d) {
-        result.daily[d].assign(qualified[d].begin(), qualified[d].end());
-        std::sort(result.daily[d].begin(), result.daily[d].end());
-        for (const net::Ipv4Address ip : result.daily[d]) {
-          merged.ips[d].insert(ip);
-        }
-      }
-    }
-
-    // After close: the day's per-source port counts become ECDF samples
-    // for future days (identity (day, src) matches the serial detector).
-    for (const auto* partial : partials) {
-      for (const auto& [src, ports] : partial->ports) {
-        port_samples.add(static_cast<std::uint64_t>(day), src.value(),
-                         ports.size());
-      }
-    }
-    merged.days.push_back(std::move(result));
+    merged.days.push_back(closer.close(day, partials));
   }
+  merged.ips = std::move(closer).ips();
   return merged;
 }
 

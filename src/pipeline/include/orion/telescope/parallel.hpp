@@ -13,11 +13,16 @@
 // allocates nothing.
 // finish() joins the workers and runs a deterministic merge —
 // event-dataset concatenation under the dataset's total (start, key)
-// order plus detect::merge_shard_slices — whose output is byte-identical
-// to the single-threaded TelescopeCapture + StreamingDetector path for
-// ANY shard count and ANY batch/ring interleaving (pinned by
-// tests/parallel_test.cpp and tests/hotpath_test.cpp; argument in
-// DESIGN.md §9 and §11).
+// order plus detect::merge_shard_slices, which closes each day with the
+// same detect::DayCloser StreamingDetector uses — whose output is
+// byte-identical to the single-threaded TelescopeCapture +
+// StreamingDetector path for ANY shard count and ANY batch/ring
+// interleaving (pinned by tests/parallel_test.cpp and
+// tests/hotpath_test.cpp; argument in DESIGN.md §9 and §11).
+//
+// Checkpoints: one shard-state body (delivered count, events, aggregator,
+// detector slice) is written per shard into the whole-pipeline PPL2
+// section and into each worker's SSH1 supervision snapshot.
 //
 // Backpressure: by default a full ring blocks the dispatcher
 // (spin/yield/nap, see spsc_ring.hpp) — packets are never dropped, so the
@@ -253,6 +258,12 @@ class ParallelPipeline {
   /// cannot.
   void heal_shard(Shard& shard);
   void rebuild_from_snapshot(Shard& shard);
+  /// Fresh shard capture state: no events, a new aggregator and slice.
+  void reset_shard(Shard& shard);
+  /// The one shard-state body (delivered count, events, aggregator,
+  /// slice), shared by the PPL2 per-shard section and the SSH1 frame.
+  static void put_shard(CheckpointWriter& w, const Shard& shard);
+  static void get_shard(CheckpointReader& r, Shard& shard);
   [[noreturn]] void fail_pipeline(Shard& shard);
 
   ParallelConfig config_;

@@ -72,16 +72,9 @@ ParallelPipeline::ParallelPipeline(net::PrefixSet dark_space,
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
     auto shard = std::make_unique<Shard>(config_.ring_capacity);
-    Shard* raw = shard.get();
-    raw->index = i;
-    raw->slice = std::make_unique<detect::ShardDetectorSlice>(config_.detector,
-                                                              darknet_size_);
-    raw->aggregator = std::make_unique<EventAggregator>(
-        dark_space_, config_.aggregator, [raw](const DarknetEvent& event) {
-          raw->events.push_back(event);
-          raw->slice->observe(event);
-        });
-    raw->pending.reserve(config_.batch_size);
+    shard->index = i;
+    reset_shard(*shard);
+    shard->pending.reserve(config_.batch_size);
     shards_.push_back(std::move(shard));
   }
   for (auto& shard : shards_) spawn_worker(*shard, 0);
@@ -166,11 +159,7 @@ void ParallelPipeline::worker_loop(Shard& shard, std::uint64_t start_batches) {
 void ParallelPipeline::snapshot_shard(Shard& shard, std::uint64_t batches_done) {
   CheckpointWriter w;
   w.tag(kShardSnapTag);
-  w.u64(shard.delivered);
-  w.u64(shard.events.size());
-  for (const DarknetEvent& e : shard.events) put_event(w, e);
-  shard.aggregator->checkpoint(w);
-  shard.slice->checkpoint(w);
+  put_shard(w, shard);
   std::ostringstream out;
   w.finish(out);
   const std::string& bytes = out.str();
@@ -182,7 +171,7 @@ void ParallelPipeline::snapshot_shard(Shard& shard, std::uint64_t batches_done) 
   shard.snapshot_published.store(batches_done, std::memory_order_release);
 }
 
-void ParallelPipeline::rebuild_from_snapshot(Shard& shard) {
+void ParallelPipeline::reset_shard(Shard& shard) {
   Shard* raw = &shard;
   shard.events.clear();
   shard.delivered = 0;
@@ -193,18 +182,35 @@ void ParallelPipeline::rebuild_from_snapshot(Shard& shard) {
         raw->events.push_back(event);
         raw->slice->observe(event);
       });
+}
+
+void ParallelPipeline::put_shard(CheckpointWriter& w, const Shard& shard) {
+  w.u64(shard.delivered);
+  w.u64(shard.events.size());
+  for (const DarknetEvent& e : shard.events) put_event(w, e);
+  shard.aggregator->checkpoint(w);
+  shard.slice->checkpoint(w);
+}
+
+void ParallelPipeline::get_shard(CheckpointReader& r, Shard& shard) {
+  shard.delivered = r.u64("shard delivered");
+  const std::uint64_t count = r.u64("shard event count");
+  shard.events.clear();
+  shard.events.reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    shard.events.push_back(get_event(r));
+  }
+  shard.aggregator->restore(r);
+  shard.slice->restore(r);
+}
+
+void ParallelPipeline::rebuild_from_snapshot(Shard& shard) {
+  reset_shard(shard);
   if (shard.snapshot.empty()) return;  // died before the first snapshot
   std::istringstream in(std::string(shard.snapshot.begin(), shard.snapshot.end()));
   CheckpointReader reader(in);
   reader.expect_tag(kShardSnapTag, "shard snapshot");
-  shard.delivered = reader.u64("shard delivered");
-  const std::uint64_t count = reader.u64("shard event count");
-  shard.events.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    shard.events.push_back(get_event(reader));
-  }
-  shard.aggregator->restore(reader);
-  shard.slice->restore(reader);
+  get_shard(reader, shard);
 }
 
 void ParallelPipeline::fail_pipeline(Shard& shard) {
@@ -470,13 +476,7 @@ void ParallelPipeline::checkpoint(CheckpointWriter& writer) {
   writer.u64(health_.dropped_shed);
   writer.u64(health_.stalls);
   writer.u64(health_.worker_restarts);
-  for (const auto& shard : shards_) {
-    writer.u64(shard->delivered);
-    writer.u64(shard->events.size());
-    for (const DarknetEvent& e : shard->events) put_event(writer, e);
-    shard->aggregator->checkpoint(writer);
-    shard->slice->checkpoint(writer);
-  }
+  for (const auto& shard : shards_) put_shard(writer, *shard);
 }
 
 void ParallelPipeline::restore(CheckpointReader& reader) {
@@ -513,15 +513,7 @@ void ParallelPipeline::restore(CheckpointReader& reader) {
     // Workers are parked on empty rings (nothing was ever pushed), so the
     // dispatcher may write shard state; the first pushed batch's release/
     // acquire pair publishes it to the worker.
-    shard->delivered = reader.u64("shard delivered");
-    const std::uint64_t event_count = reader.u64("shard event count");
-    shard->events.clear();
-    shard->events.reserve(static_cast<std::size_t>(event_count));
-    for (std::uint64_t i = 0; i < event_count; ++i) {
-      shard->events.push_back(get_event(reader));
-    }
-    shard->aggregator->restore(reader);
-    shard->slice->restore(reader);
+    get_shard(reader, *shard);
     // Seed the supervision snapshot with the restored state at ring
     // sequence 0 (this incarnation's workers start there). Without it a
     // worker dying before its first periodic snapshot would make

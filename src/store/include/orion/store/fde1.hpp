@@ -144,7 +144,9 @@ std::uint64_t write_flows_fde1(const flowsim::FlowDataset& flows,
                                std::uint64_t block_flows = kFde1DefaultBlockFlows);
 
 /// Convenience: write straight to a file path (truncating, io::File seam,
-/// NOT atomic — use ArchiveDir publication for crash safety).
+/// NOT atomic — use ArchiveDir publication for crash safety). The file is
+/// created at the first byte, so invalid arguments throw
+/// std::invalid_argument with the path untouched.
 std::uint64_t write_flows_fde1_file(const flowsim::FlowDataset& flows,
                                     const std::string& path,
                                     std::uint64_t block_flows = kFde1DefaultBlockFlows);

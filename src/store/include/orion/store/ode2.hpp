@@ -81,7 +81,9 @@ std::uint64_t write_events_ode2(
     std::uint64_t block_events = kOde2DefaultBlockEvents);
 
 /// Convenience: write straight to a file path (truncating, io::File
-/// seam, NOT atomic — use ArchiveDir publication for crash safety).
+/// seam, NOT atomic — use ArchiveDir publication for crash safety). The
+/// file is created at the first byte, so invalid arguments throw
+/// std::invalid_argument with the path untouched.
 std::uint64_t write_events_ode2_file(
     const telescope::EventDataset& dataset, const std::string& path,
     std::uint64_t block_events = kOde2DefaultBlockEvents);

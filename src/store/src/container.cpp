@@ -256,11 +256,20 @@ std::uint64_t write_to_file(net::io::File& out, const SinkBody& body) {
   return body([&out](const std::uint8_t* p, std::size_t m) { out.write(p, m); });
 }
 
-std::uint64_t write_to_path(
-    const std::string& path,
-    const std::function<std::uint64_t(net::io::File&)>& body) {
-  net::io::File out = net::io::File::create(path);
-  const std::uint64_t bytes = body(out);
+std::uint64_t write_to_path(const std::string& path, const SinkBody& body) {
+  // Created at the first byte: writers check every input before they
+  // write one, so a rejected call leaves what is at `path` untouched.
+  net::io::File out;
+  bool created = false;
+  const auto create = [&] {
+    if (!created) out = net::io::File::create(path);
+    created = true;
+  };
+  const std::uint64_t bytes = body([&](const std::uint8_t* p, std::size_t m) {
+    create();
+    out.write(p, m);
+  });
+  create();
   out.sync();
   out.close();
   return bytes;

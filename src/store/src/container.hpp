@@ -189,9 +189,8 @@ std::uint64_t write_to_stream(const Container& c, std::ostream& out,
                               const SinkBody& body);
 /// io::File: every write through the failpoint-instrumented seam.
 std::uint64_t write_to_file(net::io::File& out, const SinkBody& body);
-/// Path: create (truncating), write, sync, close.
-std::uint64_t write_to_path(const std::string& path,
-                            const std::function<std::uint64_t(net::io::File&)>& body);
+/// Path: create (truncating) at the first write, then sync and close.
+std::uint64_t write_to_path(const std::string& path, const SinkBody& body);
 
 // ------------------------------------------------------------- salvage
 

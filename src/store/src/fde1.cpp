@@ -218,9 +218,9 @@ std::uint64_t write_flows_fde1(const flowsim::FlowDataset& flows,
 std::uint64_t write_flows_fde1_file(const flowsim::FlowDataset& flows,
                                     const std::string& path,
                                     std::uint64_t block_flows) {
-  return detail::write_to_path(path, [&](net::io::File& out) {
-    return write_flows_fde1(flows, out, block_flows);
-  });
+  return write_flows_fde1_file(flows.sampling_rate(), flows.start_day(),
+                               flows.end_day(), segments_of(flows), path,
+                               block_flows);
 }
 
 std::uint64_t write_flows_fde1_file(std::uint32_t sampling_rate,
@@ -229,9 +229,9 @@ std::uint64_t write_flows_fde1_file(std::uint32_t sampling_rate,
                                     const std::vector<Fde1Segment>& segments,
                                     const std::string& path,
                                     std::uint64_t block_flows) {
-  return detail::write_to_path(path, [&](net::io::File& out) {
-    return write_flows_fde1(sampling_rate, start_day, end_day, segments, out,
-                            block_flows);
+  return detail::write_to_path(path, [&](const detail::Sink& sink) {
+    return write_fde1(sampling_rate, start_day, end_day, segments, sink,
+                      block_flows);
   });
 }
 

@@ -95,8 +95,8 @@ std::uint64_t write_events_ode2(const telescope::EventDataset& dataset,
 std::uint64_t write_events_ode2_file(const telescope::EventDataset& dataset,
                                      const std::string& path,
                                      std::uint64_t block_events) {
-  return detail::write_to_path(path, [&](net::io::File& out) {
-    return write_events_ode2(dataset, out, block_events);
+  return detail::write_to_path(path, [&](const detail::Sink& sink) {
+    return write_ode2(dataset, sink, block_events);
   });
 }
 

@@ -574,6 +574,7 @@ TEST(Lists, CsvUsesCalendarDates) {
 
 // NOTE: appended suite — online/streaming detection.
 #include "orion/detect/streaming.hpp"
+#include "orion/detect/shard_detector.hpp"
 
 namespace orion::detect {
 namespace {
@@ -654,6 +655,169 @@ TEST(StreamingDetector, AgreesWithBatchOnDefinition1) {
 
 TEST(StreamingDetector, RejectsZeroDarknet) {
   EXPECT_THROW(StreamingDetector(streaming_config(), 0), std::invalid_argument);
+}
+
+// ----------------------------------------------------- day-close oracle
+
+/// The top-alpha value of a rolling sample, recomputed from scratch: every
+/// sample when they all fit, else a fresh bottom-k sampler's pick.
+std::uint64_t naive_rolling_threshold(
+    const std::vector<std::array<std::uint64_t, 3>>& samples,
+    std::size_t capacity, std::uint64_t seed, double alpha) {
+  std::vector<std::uint64_t> values;
+  if (samples.size() <= capacity) {
+    for (const auto& s : samples) values.push_back(s[2]);
+  } else {
+    stats::BottomKSampler sampler(capacity, seed);
+    for (const auto& s : samples) sampler.add(s[0], s[1], s[2]);
+    values = sampler.values();
+  }
+  return oracle_threshold(std::move(values), alpha);
+}
+
+/// The online detector's day-close contract, recomputed from scratch for
+/// every day D in the dataset's window: calibrated iff the events up to D
+/// reach warm-up; the D2 threshold is the top-alpha packet volume over
+/// those events; the D3 threshold the top-alpha distinct-port count over
+/// per-(src, day < D) non-ICMP port sets (0 when there are none).
+std::vector<StreamingDayResult> naive_day_close(
+    const telescope::EventDataset& dataset, const StreamingConfig& config,
+    std::array<IpSet, 3>& ips) {
+  std::vector<StreamingDayResult> days;
+  for (std::int64_t day = dataset.first_day(); day <= dataset.last_day(); ++day) {
+    std::vector<std::array<std::uint64_t, 3>> packet_samples;
+    std::map<std::pair<std::int64_t, net::Ipv4Address>, std::set<std::uint16_t>>
+        past_ports;
+    std::map<net::Ipv4Address, std::uint64_t> best;
+    std::map<net::Ipv4Address, std::set<std::uint16_t>> ports;
+    std::set<net::Ipv4Address> d1;
+    for (const telescope::DarknetEvent& e : dataset.events()) {
+      if (e.day() > day) continue;
+      packet_samples.push_back(
+          {packet_sample_id(e.key),
+           static_cast<std::uint64_t>(e.start.since_epoch().total_nanos()),
+           e.packets});
+      const bool icmp = e.key.type == pkt::TrafficType::IcmpEchoReq;
+      if (e.day() < day) {
+        if (!icmp) past_ports[{e.day(), e.key.src}].insert(e.key.dst_port);
+        continue;
+      }
+      best[e.key.src] = std::max(best[e.key.src], e.packets);
+      if (!icmp) ports[e.key.src].insert(e.key.dst_port);
+      if (e.dispersion(dataset.darknet_size()) >= config.base.dispersion_threshold) {
+        d1.insert(e.key.src);
+      }
+    }
+    StreamingDayResult result;
+    result.day = day;
+    result.calibrated = packet_samples.size() >= config.warmup_samples;
+    if (result.calibrated) {
+      result.packet_threshold =
+          naive_rolling_threshold(packet_samples, config.ecdf_reservoir, config.seed,
+                                  config.base.packet_volume_alpha);
+      std::vector<std::array<std::uint64_t, 3>> port_samples;
+      for (const auto& [key, set] : past_ports) {
+        port_samples.push_back({static_cast<std::uint64_t>(key.first),
+                                key.second.value(), set.size()});
+      }
+      if (!port_samples.empty()) {
+        result.port_threshold =
+            naive_rolling_threshold(port_samples, config.ecdf_reservoir,
+                                    port_sampler_seed(config.seed),
+                                    config.base.port_count_alpha);
+      }
+      result.daily[0].assign(d1.begin(), d1.end());
+      for (const auto& [src, packets] : best) {
+        if (packets > result.packet_threshold) result.daily[1].push_back(src);
+      }
+      for (const auto& [src, set] : ports) {
+        if (result.port_threshold > 0 && set.size() >= result.port_threshold) {
+          result.daily[2].push_back(src);
+        }
+      }
+      for (std::size_t d = 0; d < 3; ++d) {
+        ips[d].insert(result.daily[d].begin(), result.daily[d].end());
+      }
+    }
+    days.push_back(std::move(result));
+  }
+  return days;
+}
+
+TEST(StreamingDetector, MatchesNaiveDayCloseOracle) {
+  std::size_t published = 0, withheld = 0, d3_days = 0;
+  for (const std::uint64_t seed : {3u, 19u, 2024u}) {
+    SCOPED_TRACE(seed);
+    const telescope::EventDataset full = random_dataset(seed);
+    const std::pair<const char*, telescope::EventDataset> datasets[] = {
+        {"multi-day", full},
+        {"empty days", only_days(full, [](std::int64_t d) { return d != 2 && d != 3; })},
+    };
+    for (const auto& [name, dataset] : datasets) {
+      SCOPED_TRACE(name);
+      const std::uint64_t mid_run =
+          only_days(dataset, [](std::int64_t d) { return d <= 3; }).event_count();
+      for (const std::uint64_t warmup :
+           {std::uint64_t{0}, mid_run, dataset.event_count() + 1}) {
+        for (const std::size_t capacity : {std::size_t{16}, std::size_t{200000}}) {
+          SCOPED_TRACE(::testing::Message() << "warmup " << warmup << " capacity "
+                                            << capacity);
+          StreamingConfig config;
+          config.base = test_config();
+          config.base.packet_volume_alpha = 0.05;
+          config.base.port_count_alpha = 0.1;
+          config.warmup_samples = warmup;
+          config.ecdf_reservoir = capacity;
+          std::array<IpSet, 3> want_ips;
+          const std::vector<StreamingDayResult> want =
+              naive_day_close(dataset, config, want_ips);
+          for (const StreamingDayResult& day : want) {
+            (day.calibrated ? published : withheld) += 1;
+            d3_days += day.daily[2].empty() ? 0 : 1;
+          }
+
+          StreamingDetector streaming(config, kDarknetSize);
+          std::vector<StreamingDayResult> got;
+          for (const telescope::DarknetEvent& e : dataset.events()) {
+            for (auto& day : streaming.observe(e)) got.push_back(std::move(day));
+          }
+          if (auto last = streaming.finish()) got.push_back(std::move(*last));
+          EXPECT_EQ(got, want);
+          for (std::size_t d = 0; d < 3; ++d) {
+            EXPECT_EQ(streaming.ips(static_cast<Definition>(d)), want_ips[d]);
+          }
+
+          // Random source partitions, each slice fed in shuffled order.
+          net::Rng rng(seed ^ warmup ^ capacity);
+          for (const std::size_t n_slices : {1u, 2u, 3u}) {
+            SCOPED_TRACE(n_slices);
+            std::vector<ShardDetectorSlice> slices(
+                n_slices, ShardDetectorSlice(config, kDarknetSize));
+            std::map<net::Ipv4Address, std::size_t> owner;
+            std::vector<telescope::DarknetEvent> shuffled = dataset.events();
+            for (std::size_t i = shuffled.size(); i > 1; --i) {
+              std::swap(shuffled[i - 1], shuffled[rng.bounded(i)]);
+            }
+            for (const telescope::DarknetEvent& e : shuffled) {
+              const auto [it, fresh] = owner.try_emplace(e.key.src, 0);
+              if (fresh) it->second = rng.bounded(n_slices);
+              slices[it->second].observe(e);
+            }
+            std::vector<const ShardDetectorSlice*> views;
+            for (const ShardDetectorSlice& slice : slices) views.push_back(&slice);
+            const MergedDetection merged = merge_shard_slices(views);
+            EXPECT_EQ(merged.days, want);
+            EXPECT_EQ(merged.ips, want_ips);
+            EXPECT_EQ(merged.events_seen, dataset.event_count());
+          }
+        }
+      }
+    }
+  }
+  // The oracle must see every regime it checks.
+  EXPECT_GT(published, 0u);
+  EXPECT_GT(withheld, 0u);
+  EXPECT_GT(d3_days, 0u);
 }
 
 }  // namespace

@@ -326,6 +326,17 @@ void reseal_footer(std::string& bytes) {
   std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
 }
 
+TEST(Fde1, RejectedPathWriteLeavesTheFileUntouched) {
+  const std::string victim = "not an archive, and must stay that way";
+  const TempFile file(victim, "victim");
+  EXPECT_THROW(write_flows_fde1_file(10, 5, 4, {}, file.path()),
+               std::invalid_argument);
+  EXPECT_THROW(write_flows_fde1_file(tiny_flows(), file.path(), 0),
+               std::invalid_argument);
+  std::ifstream in(file.path(), std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), victim);
+}
+
 TEST(Fde1, DayWindowIsBoundedInWriterAndReaders) {
   constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();

@@ -147,6 +147,16 @@ TEST(Ode2RoundTrip, WriterRejectsBadBlockSize) {
                std::invalid_argument);
 }
 
+TEST(Ode2RoundTrip, RejectedPathWriteLeavesTheFileUntouched) {
+  const EventDataset dataset = sample_dataset();
+  const std::string victim = "not an archive, and must stay that way";
+  const TempFile file(victim, "victim");
+  EXPECT_THROW(write_events_ode2_file(dataset, file.path(), 0),
+               std::invalid_argument);
+  std::ifstream in(file.path(), std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}), victim);
+}
+
 // ----------------------------------------------------------- golden bytes
 
 /// Fixed pseudo-random events (SplitMix64, no simulator dependency) with
