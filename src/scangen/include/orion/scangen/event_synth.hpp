@@ -29,7 +29,9 @@ void synthesize_scanner_events(const ScannerProfile& scanner,
                                const EventSynthConfig& config,
                                std::vector<telescope::DarknetEvent>& out);
 
-/// Synthesizes the full dataset for a population.
+/// Synthesizes the full dataset for a population, sorted by start. Runs
+/// on up to net::scan_threads(event bound) threads; the result is the
+/// same at every thread count.
 std::vector<telescope::DarknetEvent> synthesize_events(
     const Population& population, const EventSynthConfig& config);
 

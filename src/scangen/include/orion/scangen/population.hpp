@@ -115,4 +115,13 @@ Population build_population(const PopulationConfig& config,
                             const KeyOrigins& origins,
                             const std::vector<ResearchOrg>* reuse_orgs = nullptr);
 
+/// The research orgs of build_population(config, registry, origins) with
+/// only their core scanner IPs: everything a `reuse_orgs` build reads
+/// from the previous year (names, ASN, `active`, `core_ip_count` and
+/// `ips[0..core_ip_count)`), at a fraction of a full build's cost, so the
+/// next year can be built while this one still is.
+std::vector<ResearchOrg> build_research_orgs(const PopulationConfig& config,
+                                             const asdb::Registry& registry,
+                                             const KeyOrigins& origins);
+
 }  // namespace orion::scangen

@@ -4,8 +4,8 @@
 #include <array>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
+#include "orion/netbase/flat_map.hpp"
 #include "orion/scangen/ports.hpp"
 
 namespace orion::scangen {
@@ -105,6 +105,9 @@ class Builder {
   }
 
   Population build() {
+    const std::size_t estimate = scanner_estimate();
+    scanners_.reserve(estimate);
+    used_ips_.reserve(estimate);
     build_research_orgs();
     build_cloud_scanners();
     build_botnet();
@@ -118,7 +121,29 @@ class Builder {
     return pop;
   }
 
+  /// The research-org phase alone: it runs first and draws first, so its
+  /// orgs are exactly build()'s before the port sweepers append their
+  /// affiliated IPs.
+  std::vector<ResearchOrg> build_orgs_only() {
+    build_research_orgs();
+    return std::move(orgs_);
+  }
+
  private:
+  /// Capacity hint for scanners_ and used_ips_: every configured scanner,
+  /// research orgs rounded up to their two-IP minimum, and one DHCP-churn
+  /// sibling per ISP-hosted scanner.
+  std::size_t scanner_estimate() const {
+    std::size_t research = config_.acked_ip_count + 2 * config_.acked_org_count;
+    if (reuse_orgs_ != nullptr) {
+      research = 0;
+      for (const ResearchOrg& org : *reuse_orgs_) research += org.core_ip_count;
+    }
+    return research + config_.cloud_scanner_count + 2 * config_.botnet_count +
+           2 * config_.bruteforcer_count + config_.port_sweeper_count +
+           config_.small_scanner_count;
+  }
+
   // --- primitive samplers -------------------------------------------------
 
   /// Session start day under the linear-growth weighting.
@@ -146,14 +171,14 @@ class Builder {
   net::Ipv4Address fresh_address(const AsRecord& as) {
     for (int attempt = 0; attempt < 64; ++attempt) {
       const net::Ipv4Address a = registry_.random_address_in_as(as, rng_);
-      if (used_ips_.insert(a).second) return a;
+      if (used_ips_.try_emplace(a).second) return a;
     }
     throw std::runtime_error("Builder: AS address space exhausted: " + as.org);
   }
 
   ScannerProfile& new_scanner_at(net::Ipv4Address source, Category category,
                                  pkt::ScanTool tool) {
-    used_ips_.insert(source);
+    used_ips_.try_emplace(source);
     ScannerProfile profile;
     profile.source = source;
     profile.category = category;
@@ -524,6 +549,7 @@ class Builder {
                     std::size_t minimum_sessions = 1) {
     const std::size_t n =
         poisson_at_least(per_year * year_scale_, minimum_sessions);
+    s.sessions.reserve(s.sessions.size() + n);
     for (std::size_t j = 0; j < n; ++j) {
       SessionSpec spec;
       spec.start = sample_start(sample_day());
@@ -548,7 +574,7 @@ class Builder {
 
   std::vector<ScannerProfile> scanners_;
   std::vector<ResearchOrg> orgs_;
-  std::unordered_set<net::Ipv4Address> used_ips_;
+  net::FlatMap<net::Ipv4Address, bool> used_ips_;
   std::uint64_t next_stream_ = 1;
 };
 
@@ -562,6 +588,15 @@ Population build_population(const PopulationConfig& config,
     throw std::invalid_argument("build_population: empty window");
   }
   return Builder(config, registry, origins, reuse_orgs).build();
+}
+
+std::vector<ResearchOrg> build_research_orgs(const PopulationConfig& config,
+                                             const asdb::Registry& registry,
+                                             const KeyOrigins& origins) {
+  if (config.window_end_day <= config.window_start_day) {
+    throw std::invalid_argument("build_research_orgs: empty window");
+  }
+  return Builder(config, registry, origins, nullptr).build_orgs_only();
 }
 
 }  // namespace orion::scangen

@@ -117,23 +117,32 @@ std::vector<PortSpec> pick_distinct_ports(const std::vector<WeightedPort>& catal
     return out;
   }
   // Weighted sampling without replacement by repeated weighted draws over
-  // the shrinking remainder (catalogs are small, O(count * size) is fine).
-  std::vector<WeightedPort> pool = catalog;
+  // the untaken remainder (catalogs are small, O(count * size) is fine).
+  // Skipping taken entries visits the remainder in catalog order, so the
+  // weight sums and the chosen entry are exactly those of drawing from a
+  // copy of the catalog and erasing each pick.
+  std::vector<bool> taken(catalog.size(), false);
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     double total = 0;
-    for (const WeightedPort& p : pool) total += p.weight;
+    std::size_t last = 0;
+    for (std::size_t j = 0; j < catalog.size(); ++j) {
+      if (taken[j]) continue;
+      total += catalog[j].weight;
+      last = j;
+    }
     double u = rng.uniform() * total;
-    std::size_t chosen = pool.size() - 1;
-    for (std::size_t j = 0; j < pool.size(); ++j) {
-      u -= pool[j].weight;
+    std::size_t chosen = last;
+    for (std::size_t j = 0; j < catalog.size(); ++j) {
+      if (taken[j]) continue;
+      u -= catalog[j].weight;
       if (u <= 0) {
         chosen = j;
         break;
       }
     }
-    out.push_back({pool[chosen].port, pool[chosen].type});
-    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(chosen));
+    taken[chosen] = true;
+    out.push_back({catalog[chosen].port, catalog[chosen].type});
   }
   return out;
 }

@@ -1,7 +1,10 @@
 #include "orion/scangen/scenario.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+
+#include "orion/netbase/parallel.hpp"
 
 namespace orion::scangen {
 
@@ -149,13 +152,23 @@ Scenario::Scenario(ScenarioConfig config)
     : config_(std::move(config)),
       registry_(asdb::Registry::build(config_.registry)),
       origins_(KeyOrigins::select(registry_)),
-      pop_2021_(build_population(config_.pop_2021, registry_, origins_)),
-      pop_2022_(build_population(config_.pop_2022, registry_, origins_,
-                                 &pop_2021_.orgs)),
       darknet_(config_.darknet),
       merit_(config_.merit),
       cu_(config_.cu),
-      honeypots_(config_.honeypots) {}
+      honeypots_(config_.honeypots) {
+  // 2022 reuses only the 2021 research orgs' core fleets, which the
+  // orgs-only build reproduces exactly, so the two years are built at
+  // once; each draws from its own seeded RNG, as when built in turn.
+  const std::vector<ResearchOrg> orgs_2021 =
+      build_research_orgs(config_.pop_2021, registry_, origins_);
+  const std::size_t n_threads = std::min<std::size_t>(2, net::available_threads());
+  net::fork_join(n_threads, [&](std::size_t t) {
+    if (t == 0) pop_2021_ = build_population(config_.pop_2021, registry_, origins_);
+    if (t == 1 || n_threads == 1) {
+      pop_2022_ = build_population(config_.pop_2022, registry_, origins_, &orgs_2021);
+    }
+  });
+}
 
 net::Duration Scenario::event_timeout() const {
   return telescope::derive_timeout(darknet_.total_addresses(),

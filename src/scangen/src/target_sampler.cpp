@@ -2,7 +2,8 @@
 
 #include <numeric>
 #include <stdexcept>
-#include <unordered_set>
+
+#include "orion/netbase/flat_map.hpp"
 
 namespace orion::scangen {
 
@@ -26,17 +27,34 @@ std::vector<std::uint64_t> sample_distinct_offsets(std::uint64_t n,
     return out;
   }
 
-  // Sparse draw: Floyd's algorithm — k iterations, no O(n) setup.
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(static_cast<std::size_t>(k) * 2);
-  for (std::uint64_t j = n - k; j < n; ++j) {
-    const std::uint64_t candidate = rng.bounded(j + 1);
-    if (chosen.insert(candidate).second) {
-      out.push_back(candidate);
-    } else {
-      chosen.insert(j);
-      out.push_back(j);
+  // Sparse draw: Floyd's algorithm — k iterations, no O(n) setup. The
+  // membership test only answers "drawn before?", so the output is the
+  // same whichever set holds it: a bitset over [0, n) while its n/64
+  // words are no more than a flat set of k entries would take (~8k
+  // words), as for port sweeps of 65535 ports, else a flat hash set.
+  const auto floyd = [&](auto&& insert) {
+    for (std::uint64_t j = n - k; j < n; ++j) {
+      const std::uint64_t candidate = rng.bounded(j + 1);
+      if (insert(candidate)) {
+        out.push_back(candidate);
+      } else {
+        insert(j);
+        out.push_back(j);
+      }
     }
+  };
+  if (n / 64 <= k * 8) {
+    std::vector<std::uint64_t> bits((n + 63) / 64, 0);
+    floyd([&](std::uint64_t v) {
+      const std::uint64_t mask = std::uint64_t{1} << (v % 64);
+      const bool fresh = (bits[v / 64] & mask) == 0;
+      bits[v / 64] |= mask;
+      return fresh;
+    });
+  } else {
+    net::FlatMap<std::uint64_t, bool> chosen;
+    chosen.reserve(static_cast<std::size_t>(k) * 2);
+    floyd([&](std::uint64_t v) { return chosen.try_emplace(v).second; });
   }
   // Floyd's output has positional bias (later slots skew high); shuffle so
   // probe order is uniform.

@@ -573,3 +573,379 @@ TEST(PaperScaled, DerivedTimeoutScalesFromPaperFormula) {
 
 }  // namespace
 }  // namespace orion::scangen
+
+// NOTE: appended suite — the set-up contract: the rewritten samplers
+// against the forms they replaced, thread-count invariance of event
+// synthesis, and golden pins on the paper-scaled inputs.
+#include <bit>
+#include <limits>
+
+#include "event_synth_core.hpp"
+
+namespace orion::scangen {
+namespace {
+
+/// pick_distinct_ports as first written: copy the catalog, draw over the
+/// remainder and erase each pick. The reference for the marking form.
+std::vector<PortSpec> reference_pick_distinct_ports(
+    const std::vector<WeightedPort>& catalog, std::size_t count, net::Rng& rng) {
+  std::vector<PortSpec> out;
+  if (count >= catalog.size()) {
+    for (const WeightedPort& p : catalog) out.push_back({p.port, p.type});
+    return out;
+  }
+  std::vector<WeightedPort> pool = catalog;
+  for (std::size_t i = 0; i < count; ++i) {
+    double total = 0;
+    for (const WeightedPort& p : pool) total += p.weight;
+    double u = rng.uniform() * total;
+    std::size_t chosen = pool.size() - 1;
+    for (std::size_t j = 0; j < pool.size(); ++j) {
+      u -= pool[j].weight;
+      if (u <= 0) {
+        chosen = j;
+        break;
+      }
+    }
+    out.push_back({pool[chosen].port, pool[chosen].type});
+    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(chosen));
+  }
+  return out;
+}
+
+/// sample_distinct_offsets as first written, with Floyd's membership in a
+/// std::unordered_set. The reference for the bitset / flat-set form.
+std::vector<std::uint64_t> reference_sample_distinct_offsets(std::uint64_t n,
+                                                             std::uint64_t k,
+                                                             net::Rng& rng) {
+  std::vector<std::uint64_t> out;
+  if (k == 0) return out;
+  if (k * 4 >= n) {
+    std::vector<std::uint64_t> pool(n);
+    for (std::uint64_t i = 0; i < n; ++i) pool[i] = i;
+    for (std::uint64_t i = 0; i < k; ++i) {
+      const std::uint64_t j = i + rng.bounded(n - i);
+      std::swap(pool[i], pool[j]);
+      out.push_back(pool[i]);
+    }
+    return out;
+  }
+  std::unordered_set<std::uint64_t> chosen;
+  for (std::uint64_t j = n - k; j < n; ++j) {
+    const std::uint64_t candidate = rng.bounded(j + 1);
+    if (chosen.insert(candidate).second) {
+      out.push_back(candidate);
+    } else {
+      chosen.insert(j);
+      out.push_back(j);
+    }
+  }
+  for (std::uint64_t i = out.size() - 1; i > 0; --i) {
+    std::swap(out[i], out[rng.bounded(i + 1)]);
+  }
+  return out;
+}
+
+TEST(SamplerOracle, PickDistinctPortsMatchesPoolErase) {
+  net::Rng gen(11);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Random catalogs, duplicates and zero weights included.
+    std::vector<WeightedPort> catalog(gen.bounded(30));
+    for (WeightedPort& p : catalog) {
+      p.port = static_cast<std::uint16_t>(gen.bounded(40));
+      p.type = gen.chance(0.2) ? pkt::TrafficType::Udp : pkt::TrafficType::TcpSyn;
+      p.weight = gen.chance(0.1) ? 0.0 : 0.01 + gen.uniform() * 20.0;
+    }
+    for (std::size_t count = 0; count <= catalog.size() + 1; ++count) {
+      const std::uint64_t seed = gen.bounded(std::numeric_limits<std::uint64_t>::max());
+      net::Rng a(seed), b(seed);
+      EXPECT_EQ(pick_distinct_ports(catalog, count, a),
+                reference_pick_distinct_ports(catalog, count, b))
+          << "trial " << trial << " count " << count;
+      EXPECT_EQ(a.bounded(1ull << 40), b.bounded(1ull << 40));
+    }
+  }
+  // The shipped catalogs, at the counts the population builder asks for.
+  for (const auto* catalog : {&service_catalog(2021), &service_catalog(2022),
+                              &botnet_catalog(), &bruteforce_catalog(),
+                              &small_scan_catalog()}) {
+    for (std::size_t count = 0; count <= catalog->size() + 1; ++count) {
+      net::Rng a(count), b(count);
+      EXPECT_EQ(pick_distinct_ports(*catalog, count, a),
+                reference_pick_distinct_ports(*catalog, count, b));
+      EXPECT_EQ(a.bounded(1ull << 40), b.bounded(1ull << 40));
+    }
+  }
+}
+
+TEST(SamplerOracle, SampleDistinctOffsetsMatchesUnorderedSetFloyd) {
+  struct Case {
+    std::uint64_t n;
+    std::uint64_t k;
+  };
+  // Sparse draws on both sides of the bitset / flat-set switch (port
+  // sweeps: n = 65535), dense draws, and the edges.
+  const std::vector<Case> cases = {
+      {1, 0},       {1, 1},         {2, 1},        {10, 2},        {10, 3},
+      {100, 24},    {100, 25},      {100, 100},    {1000, 10},     {65535, 1},
+      {65535, 50},  {65535, 127},   {65535, 128},  {65535, 700},   {65535, 3400},
+      {65535, 16383}, {65535, 16384}, {65535, 65535}, {32768, 300}, {1u << 20, 100},
+      {1ull << 32, 1000}, {std::numeric_limits<std::uint64_t>::max(), 64}};
+  for (const Case& c : cases) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      net::Rng a(seed * 7 + c.k), b(seed * 7 + c.k);
+      EXPECT_EQ(sample_distinct_offsets(c.n, c.k, a),
+                reference_sample_distinct_offsets(c.n, c.k, b))
+          << "n " << c.n << " k " << c.k;
+      EXPECT_EQ(a.bounded(1ull << 40), b.bounded(1ull << 40));
+    }
+  }
+}
+
+/// synthesize_events as first written: one serial pass in scanner order,
+/// then std::sort of the events themselves by start.
+std::vector<telescope::DarknetEvent> reference_synthesize_events(
+    const Population& population, const EventSynthConfig& config) {
+  std::vector<telescope::DarknetEvent> out;
+  for (const ScannerProfile& scanner : population.scanners) {
+    synthesize_scanner_events(scanner, config, out);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const telescope::DarknetEvent& a, const telescope::DarknetEvent& b) {
+              return a.start < b.start;
+            });
+  return out;
+}
+
+/// Index of the first event where `a` and `b` differ (the shorter size if
+/// one is a prefix of the other), or npos when they are equal; a failure
+/// names one position instead of printing a million events.
+std::size_t first_difference(const std::vector<telescope::DarknetEvent>& a,
+                             const std::vector<telescope::DarknetEvent>& b) {
+  const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+  if (ia == a.end() && ib == b.end()) return std::string::npos;
+  return static_cast<std::size_t>(ia - a.begin());
+}
+
+/// A few heavy port sweepers among many small scanners whose events share
+/// a handful of start instants: the sweepers each outweigh a whole range
+/// at 8 threads, and the ties make the sort's tie order visible.
+Population sweepers_and_ties() {
+  Population pop;
+  net::Rng rng(5);
+  for (std::uint32_t i = 0; i < 3000; ++i) {
+    ScannerProfile s;
+    s.source = net::Ipv4Address(0x0B000000u + i);
+    s.rng_stream = i + 1;
+    s.tool = i % 3 == 0 ? pkt::ScanTool::ZMap : pkt::ScanTool::Other;
+    SessionSpec session;
+    if (i % 1000 == 17) {
+      s.category = Category::PortSweeper;
+      session.start = net::SimTime::at(net::Duration::hours(i % 7));
+      session.duration = net::Duration::hours(12);
+      session.coverage = 0.02;
+      session.sweep_port_count = 20000;
+    } else {
+      // A one-nanosecond session pins every event to its session start.
+      session.start = net::SimTime::at(net::Duration::hours(rng.bounded(4)));
+      session.duration = net::Duration::nanos(1);
+      session.coverage = 0.01;
+      session.ports = {{static_cast<std::uint16_t>(1 + rng.bounded(3)),
+                        pkt::TrafficType::TcpSyn}};
+      if (rng.chance(0.3)) session.ports.push_back({445, pkt::TrafficType::TcpSyn});
+    }
+    s.sessions.push_back(session);
+    pop.scanners.push_back(std::move(s));
+  }
+  return pop;
+}
+
+TEST(EventSynth, ThreadCountDoesNotChangeTheResult) {
+  const Scenario scenario{tiny()};
+  const EventSynthConfig tiny_config{
+      .darknet_size = scenario.darknet().total_addresses(), .seed = 3};
+  const Population ties = sweepers_and_ties();
+  const EventSynthConfig ties_config{.darknet_size = 4096, .seed = 9};
+
+  const std::vector<std::pair<const Population*, EventSynthConfig>> inputs = {
+      {&scenario.population_2021(), tiny_config},
+      {&scenario.population_2022(), tiny_config},
+      {&ties, ties_config}};
+  for (const auto& [population, config] : inputs) {
+    const auto reference = reference_synthesize_events(*population, config);
+    ASSERT_GT(reference.size(), 100u);
+    for (const std::size_t n_threads : {1u, 2u, 3u, 8u}) {
+      EXPECT_EQ(first_difference(
+                    detail::synthesize_events(*population, config, n_threads), reference),
+                std::string::npos)
+          << n_threads << " threads";
+    }
+    EXPECT_EQ(first_difference(synthesize_events(*population, config), reference),
+              std::string::npos);
+  }
+
+  // The tie input does what it is for: thousands of events share a start
+  // with a neighbour, and one sweeper's events exceed an eighth of the
+  // total.
+  const auto events = reference_synthesize_events(ties, ties_config);
+  std::size_t tied = 0;
+  for (std::size_t i = 0; i + 1 < events.size(); ++i) {
+    tied += events[i].start == events[i + 1].start;
+  }
+  EXPECT_GT(tied, 2000u);
+  std::vector<telescope::DarknetEvent> one_sweeper;
+  synthesize_scanner_events(ties.scanners[17], ties_config, one_sweeper);
+  EXPECT_GT(one_sweeper.size(), events.size() / 8);
+}
+
+TEST(Population, OrgsOnlyBuildMatchesTheCoreOrgs) {
+  for (const ScenarioConfig& config : {tiny(), paper_scaled()}) {
+    const asdb::Registry registry = asdb::Registry::build(config.registry);
+    const KeyOrigins origins = KeyOrigins::select(registry);
+    const Population full = build_population(config.pop_2021, registry, origins);
+    const std::vector<ResearchOrg> core =
+        build_research_orgs(config.pop_2021, registry, origins);
+    ASSERT_EQ(core.size(), full.orgs.size());
+    for (std::size_t i = 0; i < core.size(); ++i) {
+      const ResearchOrg& a = core[i];
+      const ResearchOrg& b = full.orgs[i];
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_EQ(a.domain, b.domain);
+      EXPECT_EQ(a.keyword, b.keyword);
+      EXPECT_EQ(a.asn, b.asn);
+      EXPECT_EQ(a.active, b.active);
+      EXPECT_EQ(a.core_ip_count, b.core_ip_count);
+      ASSERT_EQ(a.ips.size(), a.core_ip_count);
+      ASSERT_GE(b.ips.size(), b.core_ip_count);
+      EXPECT_TRUE(std::equal(a.ips.begin(), a.ips.end(), b.ips.begin()));
+    }
+    // What the next year reuses is the same from either list.
+    const Population from_core =
+        build_population(config.pop_2022, registry, origins, &core);
+    const Population from_full =
+        build_population(config.pop_2022, registry, origins, &full.orgs);
+    ASSERT_EQ(from_core.scanners.size(), from_full.scanners.size());
+    for (std::size_t i = 0; i < from_core.scanners.size(); ++i) {
+      EXPECT_EQ(from_core.scanners[i].source, from_full.scanners[i].source);
+    }
+  }
+}
+
+// ------------------------------------------------------------ golden pins
+
+/// FNV-1a over every field of the generated inputs.
+class Fnv {
+ public:
+  template <typename T>
+    requires std::is_arithmetic_v<T> || std::is_enum_v<T>
+  void add(T value) {
+    if constexpr (std::is_floating_point_v<T>) {
+      add(std::bit_cast<std::uint64_t>(static_cast<double>(value)));
+    } else {
+      auto v = static_cast<std::uint64_t>(value);
+      for (int i = 0; i < 8; ++i, v >>= 8) {
+        hash_ ^= v & 0xFF;
+        hash_ *= 1099511628211ull;
+      }
+    }
+  }
+  void add(net::Ipv4Address a) { add(a.value()); }
+  void add(net::SimTime t) { add(t.since_epoch().total_nanos()); }
+  void add(net::Duration d) { add(d.total_nanos()); }
+  void add(const std::string& s) {
+    add(s.size());
+    for (const char c : s) add(c);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 1469598103934665603ull;
+};
+
+std::uint64_t population_hash(const Population& pop) {
+  Fnv h;
+  h.add(pop.scanners.size());
+  for (const ScannerProfile& s : pop.scanners) {
+    h.add(s.source);
+    h.add(s.category);
+    h.add(s.tool);
+    h.add(s.org);
+    h.add(s.rng_stream);
+    h.add(s.sessions.size());
+    for (const SessionSpec& session : s.sessions) {
+      h.add(session.start);
+      h.add(session.duration);
+      h.add(session.coverage);
+      h.add(session.repeats);
+      h.add(session.sweep_port_count);
+      h.add(session.ports.size());
+      for (const PortSpec& p : session.ports) {
+        h.add(p.port);
+        h.add(p.type);
+      }
+    }
+  }
+  h.add(pop.orgs.size());
+  for (const ResearchOrg& org : pop.orgs) {
+    h.add(org.name);
+    h.add(org.domain);
+    h.add(org.keyword);
+    h.add(org.asn);
+    h.add(org.core_ip_count);
+    h.add(org.active);
+    h.add(org.ips.size());
+    for (const net::Ipv4Address ip : org.ips) h.add(ip);
+  }
+  return h.value();
+}
+
+std::uint64_t events_hash(const std::vector<telescope::DarknetEvent>& events) {
+  Fnv h;
+  h.add(events.size());
+  for (const telescope::DarknetEvent& e : events) {
+    h.add(e.key.src);
+    h.add(e.key.dst_port);
+    h.add(e.key.type);
+    h.add(e.start);
+    h.add(e.end);
+    h.add(e.packets);
+    h.add(e.unique_dests);
+    for (const std::uint64_t p : e.packets_by_tool) h.add(p);
+  }
+  return h.value();
+}
+
+// The paper-scaled inputs as `perfbench/run.py --seed s` builds them: the
+// scenario at seed s, the Darknet-2 events at seed s + 1. The constants
+// were computed by the serial set-up (one population after the other,
+// one synthesis pass, std::sort of the events); any change to them is a
+// scenario-contract change, not a refactor.
+TEST(ScenarioGolden, PaperScaledInputsArePinned) {
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t pop_2021;
+    std::uint64_t pop_2022;
+    std::size_t events;
+    std::uint64_t events_hash;
+  };
+  const Pin pins[] = {
+      {1, 0x4a186014eba23b4eull, 0x27c3728acef6a695ull, 1054619, 0xbe543f97504f6d14ull},
+      {2, 0x4a186014eba23b4eull, 0x27c3728acef6a695ull, 1054782, 0x5c27e1a6806d166dull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(testing::Message() << "seed " << pin.seed);
+    ScenarioConfig config = paper_scaled();
+    config.seed = pin.seed;
+    const Scenario scenario(config);
+    const auto events = synthesize_events(
+        scenario.population_2022(),
+        {.darknet_size = scenario.darknet().total_addresses(), .seed = pin.seed + 1});
+    EXPECT_EQ(population_hash(scenario.population_2021()), pin.pop_2021);
+    EXPECT_EQ(population_hash(scenario.population_2022()), pin.pop_2022);
+    EXPECT_EQ(events.size(), pin.events);
+    EXPECT_EQ(events_hash(events), pin.events_hash);
+  }
+}
+
+}  // namespace
+}  // namespace orion::scangen

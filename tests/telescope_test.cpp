@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <map>
+#include <ostream>
 
 #include "orion/packet/builder.hpp"
 #include "orion/scangen/event_synth.hpp"
@@ -215,6 +216,12 @@ struct CrossCheckCase {
   double coverage;
   int repeats;
 };
+
+// gtest would otherwise print the raw bytes, padding included, into the
+// test names, and those bytes differ between builds.
+void PrintTo(const CrossCheckCase& c, std::ostream* os) {
+  *os << "(" << c.coverage << ", " << c.repeats << ")";
+}
 
 class SynthVsAggregator : public testing::TestWithParam<CrossCheckCase> {};
 
