@@ -3,14 +3,19 @@
 // over a time window. Uses the same binomial-thinning model as the event
 // synthesizer, but materializes every arrival as a crafted packet
 // (fingerprints included), via a lazy per-session order-statistics
-// iterator and a k-way merge — memory stays O(active sessions), not
-// O(packets).
+// iterator. Contiguous ranges of sub-streams generate one simulated-time
+// window at a time on threads of their own, and the window's runs are
+// merged by (time, range) as they are served (DESIGN.md §5.2): the stream
+// is the same at every thread count, and memory stays O(streams + one
+// window), not O(packets).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "orion/netbase/prefix.hpp"
@@ -41,11 +46,23 @@ struct PacketGenConfig {
   std::size_t shard_count = 1;
 };
 
+namespace detail {
+struct PacketGenShape;
+}
+
 class PacketStreamGenerator {
  public:
+  /// Throws std::invalid_argument when shard_count is 0, shard is not
+  /// below shard_count, or shard_count > 1 without stable_streams.
   PacketStreamGenerator(const std::vector<ScannerProfile>& scanners,
                         net::PrefixSet space, net::SimTime window_start,
                         net::SimTime window_end, PacketGenConfig config);
+  /// The same stream with an explicit thread count and window size
+  /// (packet_gen_core.hpp, internal to the scangen module).
+  PacketStreamGenerator(const std::vector<ScannerProfile>& scanners,
+                        net::PrefixSet space, net::SimTime window_start,
+                        net::SimTime window_end, PacketGenConfig config,
+                        const detail::PacketGenShape& shape);
 
   /// Next packet in timestamp order; nullopt when the stream is drained.
   std::optional<pkt::Packet> next();
@@ -74,6 +91,9 @@ class PacketStreamGenerator {
   std::uint64_t packets_emitted() const { return packets_emitted_; }
 
  private:
+  /// The time of an arrival that will never come.
+  static constexpr std::int64_t kDrained = std::numeric_limits<std::int64_t>::max();
+
   struct SubStream {
     const ScannerProfile* scanner = nullptr;
     pkt::ProbeBuilder builder;
@@ -84,7 +104,8 @@ class PacketStreamGenerator {
     std::uint64_t emitted = 0;
     std::uint64_t remaining = 0;
     double window_end_s = 0;  // overlap end, seconds since epoch
-    double current_s = 0;     // last emitted arrival time
+    double current_s = 0;     // time of the pending arrival
+    std::int64_t next_ns = 0;  // the pending arrival in ns; kDrained if none
 
     SubStream(const ScannerProfile* s, net::Rng stream_rng, net::Rng builder_rng)
         : scanner(s),
@@ -92,11 +113,28 @@ class PacketStreamGenerator {
           rng(stream_rng) {}
   };
 
+  /// (arrival time in ns, stream index): the order of the stream.
+  using HeapEntry = std::pair<std::int64_t, std::size_t>;
+
+  /// One range's packets of the current window in stream order, how many
+  /// of them were served, and its heap. Both buffers are reserved by the
+  /// calling thread; a cache line each, so the workers do not share one.
+  struct alignas(64) Run {
+    std::vector<pkt::Packet> packets;
+    std::size_t served = 0;
+    std::vector<HeapEntry> heap;
+  };
+
   void add_session_streams(const ScannerProfile& scanner,
                            const SessionSpec& session, net::Rng& scanner_rng,
                            std::uint64_t& scanner_streams);
-  void push_stream(std::size_t index);
-  pkt::Packet make_packet(SubStream& stream, net::SimTime when);
+  void plan_windows(std::size_t window_packets);
+  static void advance(SubStream& stream);
+  pkt::Packet make_packet(SubStream& stream, std::int64_t nanos);
+  bool generate_window();
+  void drain(std::size_t first, std::size_t last, std::int64_t end_ns, Run& run);
+  void pick_head();
+  void pop_head();
 
   net::PrefixSet space_;
   net::SimTime window_start_;
@@ -104,9 +142,11 @@ class PacketStreamGenerator {
   PacketGenConfig config_;
 
   std::vector<SubStream> streams_;
-  // Min-heap of (next arrival time in ns, stream index).
-  using HeapEntry = std::pair<std::int64_t, std::size_t>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
+  std::vector<std::int64_t> window_ends_;  // exclusive, ascending
+  std::size_t next_window_ = 0;
+  std::vector<Run> runs_;              // one per range
+  std::vector<std::int64_t> heads_;    // per run: its next time, or kDrained
+  std::size_t head_ = 0;               // the run with the lowest head
   std::uint64_t packets_emitted_ = 0;
 };
 

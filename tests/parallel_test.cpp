@@ -4,19 +4,27 @@
 // StreamingDetector path — events, daily AH lists, cumulative AH sets,
 // and the health ledger. Also covers crash/checkpoint/resume mid-run,
 // config-echo rejection, the SPSC ring under real concurrency, and
-// sharded scangen generation. Runs under the `parallel` ctest label and
-// the tsan preset.
+// sharded scangen generation, and where net::fork_join places its
+// workers. Runs under the `parallel` ctest label and the tsan preset.
 #include <gtest/gtest.h>
+#include <malloc.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "orion/detect/streaming.hpp"
+#include "orion/netbase/parallel.hpp"
 #include "orion/netbase/shard.hpp"
 #include "orion/scangen/packet_gen.hpp"
 #include "orion/scangen/scenario.hpp"
@@ -374,3 +382,126 @@ TEST(ShardedScangen, ShardingRequiresStableStreams) {
 
 }  // namespace
 }  // namespace orion::telescope
+
+// ------------------------------------------------- fork_join placement
+
+namespace orion::net {
+namespace {
+
+/// The CPUs in the calling thread's affinity mask, ascending.
+std::vector<int> own_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return {};
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+TEST(ForkJoin, WorkersPinToDistinctCpusOfTheCallersMask) {
+  const std::vector<int> mask = own_cpus();
+  ASSERT_FALSE(mask.empty());
+  for (const std::size_t n : {std::size_t{2}, mask.size(), mask.size() + 3}) {
+    SCOPED_TRACE(testing::Message() << n << " threads on " << mask.size() << " CPUs");
+    std::vector<std::vector<int>> seen(n);
+    std::vector<std::thread::id> ids(n);
+    fork_join(n, [&](std::size_t t) {
+      seen[t] = own_cpus();
+      ids[t] = std::this_thread::get_id();
+    });
+    EXPECT_EQ(own_cpus(), mask);
+    EXPECT_EQ(seen[0], mask);  // the caller runs t = 0 unpinned
+    if (mask.size() == 1) {
+      // One CPU: everything runs on the calling thread.
+      for (const std::thread::id id : ids) EXPECT_EQ(id, std::this_thread::get_id());
+      continue;
+    }
+    std::set<int> workers;
+    for (std::size_t t = 1; t < n; ++t) {
+      ASSERT_EQ(seen[t].size(), 1u) << "worker " << t;
+      EXPECT_TRUE(std::binary_search(mask.begin(), mask.end(), seen[t][0]));
+      workers.insert(seen[t][0]);
+      EXPECT_NE(ids[t], std::this_thread::get_id());
+    }
+    if (n <= mask.size()) {
+      EXPECT_EQ(workers.size(), n - 1);
+    }
+  }
+}
+
+TEST(ForkJoin, RethrowsTheLowestFailingPart) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
+    std::atomic<std::size_t> ran{0};
+    try {
+      fork_join(n, [&](std::size_t t) {
+        ++ran;
+        if (t == n - 1 || t == 1) throw std::runtime_error(std::to_string(t));
+      });
+      ADD_FAILURE() << "no exception at " << n << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), std::to_string(std::min<std::size_t>(1, n - 1)));
+    }
+    EXPECT_EQ(ran.load(), n);  // every part ran before the rethrow
+  }
+}
+
+/// glibc's malloc arenas: the <heap> elements malloc_info() prints. A
+/// sanitizer's allocator leaves them untouched.
+std::size_t malloc_arenas() {
+  char* buf = nullptr;
+  std::size_t size = 0;
+  FILE* out = open_memstream(&buf, &size);
+  if (out == nullptr) return 0;
+  malloc_info(0, out);
+  std::fclose(out);
+  const std::string xml(buf, size);
+  std::free(buf);
+  std::size_t heaps = 0;
+  for (std::size_t at = xml.find("<heap nr="); at != std::string::npos;
+       at = xml.find("<heap nr=", at + 1)) {
+    ++heaps;
+  }
+  return heaps;
+}
+
+// A worker that allocates nothing must not bind a malloc arena: arenas
+// taken by such workers decided which arena the next allocating worker
+// got, and freed memory stayed resident in the others (DESIGN.md §5.2).
+// In a fresh process, std::thread workers took two new arenas here.
+TEST(ForkJoin, WorkersThatAllocateNothingTakeNoMallocArena) {
+  const std::size_t before = malloc_arenas();
+  std::atomic<std::size_t> ran{0};
+  fork_join(4, [&](std::size_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 4u);
+  EXPECT_EQ(malloc_arenas(), before);
+}
+
+TEST(ForkJoin, OneCpuCallerRunsEveryPartItself) {
+  const std::vector<int> mask = own_cpus();
+  ASSERT_FALSE(mask.empty());
+  std::thread::id caller;
+  std::vector<std::thread::id> ids(4);
+  std::vector<std::size_t> order;
+  std::vector<int> after;
+  std::thread([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(mask.back(), &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    caller = std::this_thread::get_id();
+    fork_join(ids.size(), [&](std::size_t t) {
+      ids[t] = std::this_thread::get_id();
+      order.push_back(t);  // unsynchronized on purpose: one thread only
+    });
+    after = own_cpus();
+  }).join();
+  for (const std::thread::id id : ids) EXPECT_EQ(id, caller);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(after, std::vector<int>{mask.back()});
+  EXPECT_EQ(own_cpus(), mask);
+}
+
+}  // namespace
+}  // namespace orion::net

@@ -576,11 +576,16 @@ TEST(PaperScaled, DerivedTimeoutScalesFromPaperFormula) {
 
 // NOTE: appended suite — the set-up contract: the rewritten samplers
 // against the forms they replaced, thread-count invariance of event
-// synthesis, and golden pins on the paper-scaled inputs.
+// synthesis and packet generation, and golden pins on the paper-scaled
+// inputs.
 #include <bit>
 #include <limits>
+#include <queue>
+
+#include "orion/netbase/shard.hpp"
 
 #include "event_synth_core.hpp"
+#include "packet_gen_core.hpp"
 
 namespace orion::scangen {
 namespace {
@@ -944,6 +949,333 @@ TEST(ScenarioGolden, PaperScaledInputsArePinned) {
     EXPECT_EQ(population_hash(scenario.population_2022()), pin.pop_2022);
     EXPECT_EQ(events.size(), pin.events);
     EXPECT_EQ(events_hash(events), pin.events_hash);
+  }
+}
+
+// ------------------------------------------------------ parallel packet gen
+
+/// PacketStreamGenerator as first written: every sub-stream in one heap
+/// keyed by (arrival ns, stream index), popped once per packet.
+class ReferencePacketGenerator {
+ public:
+  ReferencePacketGenerator(const std::vector<ScannerProfile>& scanners,
+                           net::PrefixSet space, net::SimTime t0, net::SimTime t1,
+                           const PacketGenConfig& config)
+      : space_(std::move(space)) {
+    for (const ScannerProfile& scanner : scanners) {
+      if (config.shard_count > 1 &&
+          net::shard_of(scanner.source, config.shard_count) != config.shard) {
+        continue;
+      }
+      net::Rng scanner_rng = net::Rng(config.seed).fork(scanner.rng_stream);
+      std::uint64_t scanner_streams = 0;
+      for (const SessionSpec& session : scanner.sessions) {
+        if (session.end() <= t0 || session.start >= t1) continue;
+        add_streams(scanner, session, t0, t1, config, scanner_rng, scanner_streams);
+      }
+    }
+    for (std::size_t i = 0; i < streams_.size(); ++i) push(i);
+  }
+
+  std::vector<pkt::Packet> drain() {
+    std::vector<pkt::Packet> out;
+    while (!heap_.empty()) {
+      const auto [nanos, index] = heap_.top();
+      heap_.pop();
+      Stream& s = streams_[index];
+      const std::uint64_t offset = s.targets.empty()
+                                       ? s.rng.bounded(space_.total_addresses())
+                                       : s.targets[s.emitted % s.targets.size()];
+      ++s.emitted;
+      out.push_back(s.builder.probe(net::SimTime::at(net::Duration::nanos(nanos)),
+                                    space_.address_at(offset), s.port.port,
+                                    s.port.type));
+      push(index);
+    }
+    return out;
+  }
+
+ private:
+  struct Stream {
+    Stream(pkt::ProbeBuilder b, net::Rng r, PortSpec p) : builder(b), rng(r), port(p) {}
+    pkt::ProbeBuilder builder;
+    net::Rng rng;
+    PortSpec port;
+    std::vector<std::uint64_t> targets;
+    std::uint64_t emitted = 0;
+    std::uint64_t remaining = 0;
+    double end_s = 0;
+    double current_s = 0;
+  };
+
+  void add_streams(const ScannerProfile& scanner, const SessionSpec& session,
+                   net::SimTime t0, net::SimTime t1, const PacketGenConfig& config,
+                   net::Rng& scanner_rng, std::uint64_t& scanner_streams) {
+    const std::uint64_t space_size = space_.total_addresses();
+    const net::SimTime a = std::max(session.start, t0);
+    const net::SimTime b = std::min(session.end(), t1);
+    const double overlap_s = (b - a).total_seconds();
+    const double session_s = session.duration.total_seconds();
+    if (overlap_s <= 0 || session_s <= 0) return;
+    const double frac = std::min(1.0, overlap_s / session_s);
+    std::vector<PortSpec> ports = session.ports;
+    if (session.sweep_port_count > 0) {
+      const std::uint64_t count = std::min<std::uint64_t>(session.sweep_port_count, 65535);
+      for (const std::uint64_t p : sample_distinct_offsets(65535, count, scanner_rng)) {
+        ports.push_back({static_cast<std::uint16_t>(p + 1), pkt::TrafficType::TcpSyn});
+      }
+    }
+    for (const PortSpec& port : ports) {
+      const std::uint64_t uniques =
+          sample_unique_targets(space_size, session.coverage, scanner_rng);
+      if (uniques == 0) continue;
+      const std::uint64_t total = session_packets_for_port(uniques, session.repeats);
+      const std::uint64_t in_window =
+          frac >= 1.0 ? total : scanner_rng.binomial(total, frac);
+      if (in_window == 0) continue;
+      const std::uint64_t id = config.stable_streams ? scanner_streams : streams_.size();
+      ++scanner_streams;
+      net::Rng builder_rng = scanner_rng.fork(id + 0x10000);
+      Stream s(pkt::ProbeBuilder(scanner.source, scanner.tool, builder_rng),
+               scanner_rng.fork(id + 1), port);
+      s.remaining = in_window;
+      s.current_s = (a - net::SimTime::epoch()).total_seconds();
+      s.end_s = (b - net::SimTime::epoch()).total_seconds();
+      if (config.exact_targets) s.targets = sample_distinct_offsets(space_size, uniques, s.rng);
+      streams_.push_back(std::move(s));
+    }
+  }
+
+  void push(std::size_t index) {
+    Stream& s = streams_[index];
+    if (s.remaining == 0) return;
+    const double span = s.end_s - s.current_s;
+    const double step =
+        span * (1.0 - std::pow(s.rng.uniform(), 1.0 / static_cast<double>(s.remaining)));
+    s.current_s += std::max(step, 0.0);
+    --s.remaining;
+    heap_.emplace(static_cast<std::int64_t>(s.current_s * 1e9), index);
+  }
+
+  net::PrefixSet space_;
+  std::vector<Stream> streams_;
+  using Entry = std::pair<std::int64_t, std::size_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+};
+
+bool same_packet(const pkt::Packet& a, const pkt::Packet& b) {
+  return a.timestamp == b.timestamp && a.tuple.src == b.tuple.src &&
+         a.tuple.dst == b.tuple.dst && a.tuple.src_port == b.tuple.src_port &&
+         a.tuple.dst_port == b.tuple.dst_port && a.tuple.proto == b.tuple.proto &&
+         a.ip_id == b.ip_id && a.ttl == b.ttl && a.tcp_flags == b.tcp_flags &&
+         a.tcp_seq == b.tcp_seq && a.tcp_window == b.tcp_window &&
+         a.icmp_type == b.icmp_type && a.wire_length == b.wire_length;
+}
+
+/// Index of the first packet where the streams differ, or npos.
+std::size_t first_packet_difference(const std::vector<pkt::Packet>& a,
+                                    const std::vector<pkt::Packet>& b) {
+  const auto [ia, ib] = std::mismatch(a.begin(), a.end(), b.begin(), b.end(), same_packet);
+  if (ia == a.end() && ib == b.end()) return std::string::npos;
+  return static_cast<std::size_t>(ia - a.begin());
+}
+
+/// Drains `gen` the way its callers do, picked at random per call: next(),
+/// next_batch() of 1-300 packets (perfbench and live_monitor cut batches
+/// one packet at a time) and, first, `skip` packets through next() (a
+/// live_monitor resume). peek_time() must name the next packet's time.
+std::vector<pkt::Packet> drain_mixed(PacketStreamGenerator& gen, std::uint64_t seed,
+                                     std::size_t skip) {
+  net::Rng rng(seed);
+  std::vector<pkt::Packet> out;
+  pkt::PacketBatch batch;
+  std::size_t wrong_peeks = 0;
+  for (;;) {
+    const std::optional<std::int64_t> peek = gen.peek_time();
+    const std::size_t before = out.size();
+    if (out.size() < skip || rng.chance(0.3)) {
+      if (auto p = gen.next()) out.push_back(*p);
+    } else {
+      batch.clear();
+      gen.next_batch(batch, rng.chance(0.5) ? 1 : 1 + rng.bounded(300));
+      for (std::size_t i = 0; i < batch.size(); ++i) out.push_back(batch.packet_at(i));
+    }
+    if (!peek) {
+      EXPECT_EQ(out.size(), before);
+      break;
+    }
+    wrong_peeks += out.size() == before ||
+                   out[before].timestamp.since_epoch().total_nanos() != *peek;
+  }
+  EXPECT_EQ(wrong_peeks, 0u);
+  EXPECT_EQ(gen.packets_emitted(), out.size());
+  return out;
+}
+
+/// Three hundred scanners whose one-nanosecond sessions all start at one
+/// of two instants, so thousands of packets share a nanosecond, plus a
+/// port sweeper whose streams are a block of adjacent stream indices.
+std::vector<ScannerProfile> colliding_scanners() {
+  std::vector<ScannerProfile> scanners;
+  for (std::uint32_t i = 0; i < 301; ++i) {
+    ScannerProfile s;
+    s.source = net::Ipv4Address(0x0C000000u + i * 7919u);
+    s.rng_stream = i + 1;
+    s.tool = i % 4 == 0 ? pkt::ScanTool::ZMap : pkt::ScanTool::Masscan;
+    SessionSpec session;
+    if (i == 150) {
+      session.start = net::SimTime::epoch();
+      session.duration = net::Duration::hours(2);
+      session.coverage = 0.02;
+      session.sweep_port_count = 500;
+    } else {
+      session.start = net::SimTime::at(net::Duration::hours(i % 2));
+      session.duration = net::Duration::nanos(1);
+      session.coverage = 0.05;
+      session.ports = {{static_cast<std::uint16_t>(1 + i % 3), pkt::TrafficType::TcpSyn},
+                       {53, pkt::TrafficType::Udp}};
+    }
+    s.sessions.push_back(session);
+    scanners.push_back(std::move(s));
+  }
+  return scanners;
+}
+
+TEST(PacketGen, ThreadCountDoesNotChangeTheStream) {
+  const Scenario scenario{tiny()};
+  const std::vector<ScannerProfile> colliding = colliding_scanners();
+  const net::PrefixSet small_space({*net::Prefix::parse("198.18.0.0/22")});
+  const net::SimTime t0 = net::SimTime::at(net::Duration::days(2));
+  const net::SimTime t1 = net::SimTime::at(net::Duration::days(4));
+  struct Input {
+    const char* name;
+    const std::vector<ScannerProfile>* scanners;
+    const net::PrefixSet* space;
+    net::SimTime start, end;
+    PacketGenConfig config;
+  };
+  const std::vector<Input> inputs = {
+      {"exact, legacy seeding", &scenario.population_2021().scanners,
+       &scenario.darknet(), t0, t1, {.seed = 4}},
+      {"uniform targets, stable seeding", &scenario.population_2021().scanners,
+       &scenario.darknet(), t0, t1,
+       {.seed = 5, .exact_targets = false, .stable_streams = true}},
+      {"shard 1 of 3", &scenario.population_2021().scanners, &scenario.darknet(), t0,
+       t1, {.seed = 6, .stable_streams = true, .shard = 1, .shard_count = 3}},
+      {"colliding nanoseconds", &colliding, &small_space, net::SimTime::epoch(),
+       net::SimTime::at(net::Duration::hours(3)), {.seed = 7}},
+  };
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const std::vector<pkt::Packet> reference =
+        ReferencePacketGenerator(*in.scanners, *in.space, in.start, in.end, in.config)
+            .drain();
+    ASSERT_GT(reference.size(), 5000u);
+    std::uint64_t seed = 0;
+    for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+      // 97 packets per window crosses hundreds of window edges.
+      for (const std::size_t window : {std::size_t{97}, detail::kWindowPackets}) {
+        SCOPED_TRACE(testing::Message() << threads << " threads, window " << window);
+        PacketStreamGenerator gen(*in.scanners, *in.space, in.start, in.end, in.config,
+                                  detail::PacketGenShape{threads, window});
+        const std::size_t skip = seed % 2 == 0 ? 0 : reference.size() / 3;
+        EXPECT_EQ(first_packet_difference(drain_mixed(gen, ++seed, skip), reference),
+                  std::string::npos);
+      }
+    }
+    PacketStreamGenerator batched(*in.scanners, *in.space, in.start, in.end, in.config);
+    std::vector<pkt::Packet> out;
+    batched.run_batched(256, [&](const pkt::PacketBatch& b) {
+      for (std::size_t i = 0; i < b.size(); ++i) out.push_back(b.packet_at(i));
+    });
+    EXPECT_EQ(first_packet_difference(out, reference), std::string::npos);
+  }
+
+  // The collision input does what it is for: thousands of packets share a
+  // nanosecond with their predecessor.
+  const std::vector<pkt::Packet> tied_stream =
+      ReferencePacketGenerator(colliding, small_space, net::SimTime::epoch(),
+                               net::SimTime::at(net::Duration::hours(3)), {.seed = 7})
+          .drain();
+  std::size_t tied = 0;
+  for (std::size_t i = 0; i + 1 < tied_stream.size(); ++i) {
+    tied += tied_stream[i].timestamp == tied_stream[i + 1].timestamp;
+  }
+  EXPECT_GT(tied, 5000u);
+}
+
+TEST(PacketGen, RejectsInvalidShardConfig) {
+  const Scenario scenario{tiny()};
+  const auto make = [&](PacketGenConfig config) {
+    PacketStreamGenerator gen(scenario.population_2021().scanners, scenario.darknet(),
+                              net::SimTime::epoch(),
+                              net::SimTime::at(net::Duration::hours(1)), config);
+  };
+  for (const std::size_t shard : {0u, 1u, 5u}) {
+    EXPECT_THROW(make({.stable_streams = true, .shard = shard, .shard_count = 0}),
+                 std::invalid_argument)
+        << "shard " << shard;
+  }
+  EXPECT_THROW(make({.stable_streams = true, .shard = 2, .shard_count = 2}),
+               std::invalid_argument);
+  EXPECT_THROW(make({.shard = 0, .shard_count = 2}), std::invalid_argument);
+  EXPECT_NO_THROW(make({.shard = 0, .shard_count = 1}));
+  EXPECT_NO_THROW(make({.stable_streams = true, .shard = 1, .shard_count = 2}));
+}
+
+void add_packet(Fnv& h, const pkt::Packet& p) {
+  h.add(p.timestamp);
+  h.add(p.tuple.src);
+  h.add(p.tuple.dst);
+  h.add(p.tuple.src_port);
+  h.add(p.tuple.dst_port);
+  h.add(p.tuple.proto);
+  h.add(p.ip_id);
+  h.add(p.ttl);
+  h.add(p.tcp_flags);
+  h.add(p.tcp_seq);
+  h.add(p.tcp_window);
+  h.add(p.icmp_type);
+  h.add(p.wire_length);
+}
+
+// The 4-day Darknet-1 packet feed of `perfbench/run.py --workload ingest
+// --seed s`: the paper-scaled scenario and the generator both at seed s,
+// exact targets, stable sub-streams. The constants were computed by the
+// serial heap generator (one heap over every sub-stream); any change to
+// them is a scenario-contract change, not a refactor.
+TEST(PacketGen, PaperIngestStreamIsPinned) {
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t packets;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {1, 4283585, 0x7ca6a11207ce4782ull},
+      {2, 4283072, 0x0e645f292c55c32bull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(testing::Message() << "seed " << pin.seed);
+    ScenarioConfig config = paper_scaled();
+    config.seed = pin.seed;
+    const Scenario scenario(config);
+    PacketStreamGenerator gen(
+        scenario.population_2021().scanners, scenario.darknet(), net::SimTime::epoch(),
+        net::SimTime::epoch() + net::Duration::days(4),
+        {.seed = pin.seed, .exact_targets = true, .stable_streams = true});
+    Fnv hash;
+    std::uint64_t packets = 0;
+    pkt::PacketBatch batch(256);
+    for (;;) {
+      batch.clear();
+      if (gen.next_batch(batch, 256) == 0) break;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        add_packet(hash, batch.packet_at(i));
+      }
+      packets += batch.size();
+    }
+    EXPECT_EQ(packets, pin.packets);
+    EXPECT_EQ(hash.value(), pin.hash);
   }
 }
 
